@@ -374,7 +374,7 @@ class UpdateEngine {
   struct ServerState;
   struct UserState;
   struct ReliableState;
-  struct FanoutBatch;
+  struct Sender;
 
   /// Plain per-lane counter mirror of the registry counters. Each lane
   /// accumulates its own copy (single-writer under sharding) and
@@ -430,18 +430,13 @@ class UpdateEngine {
     return lanes_[sharded_ ? lane_index_of(node) : 0].counters;
   }
 
-  // message transport
+  // message transport: one lone message through a Sender (see its
+  // definition for the transmit/deliver split every message goes through)
   void send(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
             double size_kb, sim::EventAction on_delivery);
-  void send_unreliable(topology::NodeId from, topology::NodeId to,
-                       net::MessageKind kind, double size_kb,
-                       sim::EventAction on_delivery);
-  void schedule_delivery(topology::NodeId from, topology::NodeId to,
-                         net::MessageKind kind, sim::SimTime arrival,
-                         sim::EventAction action);
   /// First epoch-grid point strictly after `now` (sharded engines only).
   sim::SimTime shard_barrier(sim::SimTime now) const;
-  /// schedule_delivery after arrival quantization: absence deferral,
+  /// Sender::deliver after arrival quantization: absence deferral,
   /// departed guard, merge-queue emission / direct scheduling.
   void deliver_at(topology::NodeId from, topology::NodeId to,
                   net::MessageKind kind, sim::SimTime arrival,
@@ -506,10 +501,15 @@ class UpdateEngine {
   /// replacement for the direct child-list loops.
   void pubsub_publish(topology::NodeId node, PubsubChannel ch,
                       trace::Version v);
-  /// Flow-controlled transport of one (possibly catch-up) delivery.
-  void pubsub_transmit(topology::NodeId relay, PubsubChannel ch,
+  /// What delivering `v` on channel `ch` does at server `to`: acquire the
+  /// content, or take the invalidation notice.
+  sim::EventAction delivery_action(PubsubChannel ch, topology::NodeId to,
+                                   trace::Version v);
+  /// Flow-controlled transport of one (possibly catch-up) delivery from
+  /// the relay `sender` sends for.
+  void pubsub_transmit(Sender& sender, PubsubChannel ch,
                        pubsub::SubscriberId sid, trace::Version v,
-                       bool catch_up, FanoutBatch* batch);
+                       bool catch_up);
   /// Confirmation (ok) / loss verdict (!ok) of a flow-controlled
   /// transmission; may trigger an immediate catch-up tail or arm a
   /// deferred one. Runs on the relay's lane.
