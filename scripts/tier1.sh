@@ -11,8 +11,10 @@
 # 1/8 grid — validated with scripts/check_obs.py (including the timeseries
 # interval-sum vs final-counter reconciliation), the time-resolved
 # convergence bench smoked at both job counts, and a second seed diffed
-# with scripts/obs_diff.py (same schema, different values). Run from the
-# repository root.
+# with scripts/obs_diff.py (same schema, different values), then the fault
+# stage: ext_fault_tolerance cmp'd across --jobs 1/8, and again with
+# duplication and delay jitter across --shards 1/auto x --jobs 1/8. Run
+# from the repository root.
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
@@ -322,6 +324,31 @@ if [[ "${run_fault}" == "1" ]]; then
     --require-metric 'reliable.give_ups' \
     --require-metric 'fault.messages_duplicated' \
     --require-metric 'fault.brownout_transitions'
+
+  # Duplicates and delay jitter across lanes: duplicated copies, reliable
+  # retries and their acks all cross the sharded merge queue, so the lane
+  # count and the worker count must still not change a byte.
+  for sh in 1 auto; do
+    for jobs in 1 8; do
+      rc=0
+      ./build/bench/ext_fault_tolerance --small --dup 0.05 --jitter 0.02 \
+        --jobs "${jobs}" --shards "${sh}" \
+        --metrics-out "${fault_dir}/md_s${sh}_j${jobs}.jsonl" \
+        --csv-out "${fault_dir}/cd_s${sh}_j${jobs}.csv" >/dev/null || rc=$?
+      if [[ "${rc}" -ge 2 ]]; then
+        echo "ext_fault_tolerance --dup --shards ${sh} --jobs ${jobs} failed" \
+             "(exit ${rc})" >&2
+        exit 1
+      fi
+      cmp "${fault_dir}/md_s1_j1.jsonl" "${fault_dir}/md_s${sh}_j${jobs}.jsonl"
+      cmp "${fault_dir}/cd_s1_j1.csv" "${fault_dir}/cd_s${sh}_j${jobs}.csv"
+    done
+  done
+  echo "duplicating fault metrics/csv byte-identical across --shards 1/auto x --jobs 1/8"
+  python3 scripts/check_obs.py --metrics "${fault_dir}/md_s1_j1.jsonl" \
+    --csv "${fault_dir}/cd_s1_j1.csv" \
+    --require-metric 'fault.messages_duplicated>0' \
+    --require-metric 'reliable.retries>0'
 fi
 
 echo
