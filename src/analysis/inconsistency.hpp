@@ -12,6 +12,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/poll_log.hpp"
@@ -20,6 +21,9 @@
 namespace cdnsim::analysis {
 
 /// First-appearance times alpha(Ci) inferred from a poll log.
+///
+/// Stored as parallel arrays sorted by version plus a suffix minimum of
+/// alpha, so every lookup is one binary search: O(log V) for V versions.
 class SnapshotTimeline {
  public:
   explicit SnapshotTimeline(const trace::PollLog& log);
@@ -27,17 +31,28 @@ class SnapshotTimeline {
   /// Construct from ground truth instead of inference (for validation).
   SnapshotTimeline(const trace::UpdateTrace& updates, sim::SimTime offset);
 
+  /// The union of timelines: alpha(v) is the earliest alpha of v in any
+  /// part. Since alpha is a minimum over rows, this equals the timeline of
+  /// the parts' logs concatenated, without building that log.
+  explicit SnapshotTimeline(std::span<const SnapshotTimeline* const> parts);
+
   /// alpha of version v; nullopt when v never appeared.
   std::optional<sim::SimTime> first_appearance(trace::Version v) const;
 
   /// alpha of the earliest version strictly greater than v (the moment
   /// content v became outdated); nullopt if v is never superseded.
+  /// Appearance times need not grow with the version (a laggard can reveal
+  /// an old snapshot late), so this is the minimum over every later version.
   std::optional<sim::SimTime> superseded_at(trace::Version v) const;
 
   trace::Version max_version() const;
 
  private:
-  std::map<trace::Version, sim::SimTime> alpha_;
+  void index(const std::map<trace::Version, sim::SimTime>& alpha);
+
+  std::vector<trace::Version> versions_;  // ascending
+  std::vector<sim::SimTime> alpha_;       // alpha_[i] = alpha(versions_[i])
+  std::vector<sim::SimTime> later_min_;   // min(alpha_[i..])
 };
 
 /// Per-request inconsistency lengths: for every answered observation, how
@@ -81,13 +96,18 @@ std::vector<Interval> server_inconsistency_intervals(
 double merged_total(std::vector<Interval> intervals);
 
 /// Fraction of servers serving outdated content at time t (Fig. 4b is its
-/// average over all polling rounds of a day).
+/// average over all polling rounds of a day). A server's state is its
+/// latest answered row in (t - poll_window, t]; among rows with that same
+/// time, the first in log order. One scan of the log: O(rows).
 double inconsistent_server_fraction(const trace::PollLog& log,
                                     const SnapshotTimeline& timeline, sim::SimTime t,
                                     sim::SimTime poll_window);
 
-/// Average of inconsistent_server_fraction over rounds [start, end) stepped
-/// by `round_s`.
+/// Average of inconsistent_server_fraction (window = round_s) over the
+/// rounds t = start + round_s, start + 2 round_s, ... <= end, bit-identical
+/// to that mean: t accumulates as t += round_s, and the fractions are summed
+/// in round order. One sweep with a cursor per server:
+/// O(rows log rows + rounds x servers). Row times must not be NaN.
 double average_inconsistent_server_fraction(const trace::PollLog& log,
                                             const SnapshotTimeline& timeline,
                                             sim::SimTime start, sim::SimTime end,
@@ -95,7 +115,13 @@ double average_inconsistent_server_fraction(const trace::PollLog& log,
 
 /// Server absences extracted from a poll log (gap between consecutive
 /// answered polls minus the poll period), paired with the inconsistency of
-/// the first content served after return. (Fig. 10b/10c.)
+/// the first content served after return. (Fig. 10b/10c.) Events come out
+/// by ascending server, then in log order.
+///
+/// Each server's answered rows must be time-ordered in log order (the
+/// simulator records every row at the time it serves it); a row earlier
+/// than the server's previous answered row throws cdnsim::Error naming the
+/// server and both times. One grouping pass: O(rows + servers log servers).
 struct AbsenceEvent {
   net::NodeId server;
   sim::SimTime return_time;

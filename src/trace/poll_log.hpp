@@ -33,8 +33,9 @@ class PollLog {
   std::size_t size() const { return observations_.size(); }
   bool empty() const { return observations_.empty(); }
 
-  /// Observations of one server, in time order (log must be time-ordered
-  /// per server, which simulator-produced logs are).
+  /// Observations of one server, in log order (which is time order for
+  /// simulator-produced logs; analysis::extract_absences checks it). One
+  /// full scan and copy per call: group by server once for many servers.
   std::vector<Observation> for_server(net::NodeId server) const;
 
   /// Distinct server ids present in the log.

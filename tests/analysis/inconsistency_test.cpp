@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace cdnsim::analysis {
@@ -155,6 +158,37 @@ TEST(ExtractAbsencesTest, JitterDoesNotTriggerFalsePositives) {
   for (double t = 10; t <= 200; t += 10) log.add({0, t + 0.4, 1, true});
   const SnapshotTimeline tl(log);
   EXPECT_TRUE(extract_absences(log, tl, 10.0).empty());
+}
+
+TEST(ExtractAbsencesTest, OutOfOrderServerRowsThrowNamingServerAndTimes) {
+  // A hand-edited CSV whose server 7 goes back in time. Its gaps would be
+  // meaningless, so the extraction refuses the log instead of guessing.
+  PollLog log;
+  log.add({3, 10.0, 1, true});
+  log.add({7, 10.0, 1, true});
+  log.add({7, 80.5, 1, true});
+  log.add({3, 20.0, 1, true});
+  log.add({7, 40.25, 1, true});  // earlier than the 80.5 before it
+  const std::string path = testing::TempDir() + "/cdnsim_absence_unordered.csv";
+  log.save_csv(path);
+  const PollLog loaded = PollLog::load_csv(path);
+  std::remove(path.c_str());
+  const SnapshotTimeline tl(loaded);
+  try {
+    extract_absences(loaded, tl, 10.0);
+    FAIL() << "expected cdnsim::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("server 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("40.25"), std::string::npos) << what;
+    EXPECT_NE(what.find("80.5"), std::string::npos) << what;
+  }
+  // Unanswered rows carry no state, so their times are not checked.
+  PollLog with_unanswered;
+  with_unanswered.add({7, 10.0, 1, true});
+  with_unanswered.add({7, 5.0, 1, false});
+  with_unanswered.add({7, 20.0, 1, true});
+  EXPECT_NO_THROW(extract_absences(with_unanswered, tl, 10.0));
 }
 
 }  // namespace
