@@ -200,16 +200,21 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
     out.inconsistent_fraction = analysis::average_inconsistent_server_fraction(
         corrected, timeline, window_start, window_end, config.observer_period_s);
 
-    // Inner-cluster lengths with cluster-local alpha (Fig. 5).
-    for (const auto& members : results.geo_clusters.members) {
-      if (members.size() < 3) continue;
+    // Cluster-local alpha: the earliest appearance among the members' rows.
+    const auto local_timeline = [&](const std::vector<net::NodeId>& members) {
       trace::PollLog cluster_log;
       for (net::NodeId s : members) {
         const auto it = by_server.find(s);
         if (it == by_server.end()) continue;
         for (const auto& obs : it->second) cluster_log.add(obs);
       }
-      const analysis::SnapshotTimeline local(cluster_log);
+      return analysis::SnapshotTimeline(cluster_log);
+    };
+
+    // Inner-cluster lengths with cluster-local alpha (Fig. 5).
+    for (const auto& members : results.geo_clusters.members) {
+      if (members.size() < 3) continue;
+      const analysis::SnapshotTimeline local = local_timeline(members);
       for (net::NodeId s : members) {
         const auto it = by_server.find(s);
         if (it == by_server.end()) continue;
@@ -220,24 +225,27 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
     }
 
     // ISP analysis (Fig. 9): intra uses the cluster-local alpha, inter uses
-    // the earliest appearance among all *other* clusters.
+    // the earliest appearance among all *other* clusters — the union of
+    // their local timelines, since the ISP clusters partition the servers.
+    std::vector<analysis::SnapshotTimeline> isp_local;
+    isp_local.reserve(isp_count);
+    for (const auto& members : results.isp_clusters.members) {
+      isp_local.push_back(local_timeline(members));
+    }
     out.intra_by_cluster.resize(isp_count);
     out.inter_by_cluster.resize(isp_count);
+    std::vector<const analysis::SnapshotTimeline*> others;
     for (std::size_t c = 0; c < isp_count; ++c) {
-      const auto& members = results.isp_clusters.members[c];
-      trace::PollLog cluster_log;
-      trace::PollLog complement_log;
-      for (const auto& obs : corrected.observations()) {
-        const std::size_t oc =
-            results.isp_clusters.cluster_of[static_cast<std::size_t>(obs.server)];
-        (oc == c ? cluster_log : complement_log).add(obs);
+      others.clear();
+      for (std::size_t o = 0; o < isp_count; ++o) {
+        if (o != c) others.push_back(&isp_local[o]);
       }
-      const analysis::SnapshotTimeline local(cluster_log);
-      const analysis::SnapshotTimeline other(complement_log);
-      for (net::NodeId s : members) {
+      const analysis::SnapshotTimeline other(others);
+      for (net::NodeId s : results.isp_clusters.members[c]) {
         const auto it = by_server.find(s);
         if (it == by_server.end()) continue;
-        for (double len : analysis::server_inconsistency_lengths(it->second, local)) {
+        for (double len :
+             analysis::server_inconsistency_lengths(it->second, isp_local[c])) {
           out.intra_by_cluster[c].push_back(len);
         }
         for (double len : analysis::server_inconsistency_lengths(it->second, other)) {

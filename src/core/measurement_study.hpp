@@ -66,6 +66,8 @@ struct ClusterPercentiles {
   double p95 = 0;
   double mean = 0;
   std::size_t samples = 0;
+
+  bool operator==(const ClusterPercentiles&) const = default;
 };
 
 struct MeasurementResults {
@@ -82,6 +84,8 @@ struct MeasurementResults {
     double distance_km;
     double avg_consistency_ratio;
     std::size_t servers;
+
+    bool operator==(const DistanceRatio&) const = default;
   };
   std::vector<DistanceRatio> distance_consistency;
   // Fig. 9: pooled intra-ISP lengths plus per-ISP-cluster percentiles.
