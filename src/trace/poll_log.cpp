@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -85,6 +86,13 @@ PollLog PollLog::load_csv(const std::string& path) {
     Observation obs;
     obs.server = parse_cell<net::NodeId>(row[0], "server", path, i, 0);
     obs.time = parse_cell<double>(row[1], "time_s", path, i, 1);
+    if (!std::isfinite(obs.time)) {
+      // from_chars accepts "nan" and "inf"; no poll happens at either, and
+      // a NaN time would defeat every time ordering in the analysis.
+      throw Error("malformed time_s value \"" + row[1] + "\" in " + path +
+                  " (row " + std::to_string(i + 2) +
+                  ", column 2): expected a finite time");
+    }
     obs.version = parse_cell<std::int64_t>(row[2], "version", path, i, 2);
     const int answered = parse_cell<int>(row[3], "answered", path, i, 3);
     if (answered != 0 && answered != 1) {

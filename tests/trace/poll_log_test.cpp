@@ -137,5 +137,27 @@ TEST(PollLogTest, LoadCsvRejectsNonBinaryAnsweredAndShortRows) {
   std::remove(path.c_str());
 }
 
+TEST(PollLogTest, LoadCsvRejectsNonFiniteTimes) {
+  const std::string path = testing::TempDir() + "/cdnsim_polllog_bad4.csv";
+  for (const char* time : {"nan", "inf", "-inf"}) {
+    {
+      std::ofstream out(path);
+      out << "server,time_s,version,answered\n"
+          << "0,1.5,2,1\n"
+          << "0," << time << ",3,1\n";
+    }
+    try {
+      PollLog::load_csv(path);
+      FAIL() << time << " time should throw";
+    } catch (const cdnsim::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("time_s"), std::string::npos) << what;
+      EXPECT_NE(what.find("row 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("finite"), std::string::npos) << what;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cdnsim::trace
