@@ -13,8 +13,9 @@
 # convergence bench smoked at both job counts, and a second seed diffed
 # with scripts/obs_diff.py (same schema, different values), then the fault
 # stage: ext_fault_tolerance cmp'd across --jobs 1/8, and again with
-# duplication and delay jitter across --shards 1/auto x --jobs 1/8. Run
-# from the repository root.
+# duplication and delay jitter across --shards 1/auto x --jobs 1/8, then
+# the study stage: the Section 3 study benches (fig09_isp, fig10_absence)
+# cmp'd across --jobs 1/4. Run from the repository root.
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
@@ -60,7 +61,8 @@ if [[ "${run_perf}" == "1" ]]; then
   echo
   echo "== tier-1: Release perf smoke (micro_core) + regression gate =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-release -j --target micro_core fig20_network_size
+  cmake --build build-release -j --target micro_core fig20_network_size \
+    fig09_isp
   # Note: the system google-benchmark predates duration suffixes, so the
   # value must be a plain double (no "s"/"x").
   ./build-release/bench/micro_core --benchmark_min_time=0.05 \
@@ -77,6 +79,16 @@ if [[ "${run_perf}" == "1" ]]; then
       exit 1
     fi
   done
+  # fig09 --small records fig09_small: one whole measurement study, so the
+  # gate also covers the Section 3 analysis kernels (a return to their
+  # quadratic loops is ~6x slower).
+  rc=0
+  ./build-release/bench/fig09_isp --small --jobs 1 \
+    --bench-json "${tmp_dir}/bench_fresh.jsonl" >/dev/null || rc=$?
+  if [[ "${rc}" -ge 2 ]]; then
+    echo "fig09_isp failed (exit ${rc})" >&2
+    exit 1
+  fi
   # 2.0x, not the script's 1.5x default: the committed baseline was recorded
   # in an earlier session and this host swings ~±30% run to run (measured by
   # interleaving identical binaries), so 1.5x flakes on wall-heavy benches.
@@ -350,6 +362,34 @@ if [[ "${run_fault}" == "1" ]]; then
     --require-metric 'fault.messages_duplicated>0' \
     --require-metric 'reliable.retries>0'
 fi
+
+echo
+echo "== tier-1: measurement study (determinism across --jobs) =="
+# The study runs its days on --jobs worker threads and merges them in day
+# order, so the analysis output (stdout) and the merged engine metrics must
+# not depend on the thread count. fig10 --small fails one shape check at
+# that scale (exit 1); only a crash (exit >= 2) fails the stage.
+cmake --build build -j --target fig09_isp fig10_absence
+study_dir="${tmp_dir}/study"
+mkdir -p "${study_dir}"
+for bench in fig09_isp fig10_absence; do
+  for jobs in 1 4; do
+    rc=0
+    ./build/bench/"${bench}" --small --jobs "${jobs}" \
+      --metrics-out "${study_dir}/${bench}_m${jobs}.jsonl" \
+      > "${study_dir}/${bench}_out${jobs}.txt" || rc=$?
+    if [[ "${rc}" -ge 2 ]]; then
+      echo "${bench} --jobs ${jobs} failed (exit ${rc})" >&2
+      exit 1
+    fi
+    # The "metrics: ... -> PATH" line names the per-run output file.
+    grep -v '^metrics: ' "${study_dir}/${bench}_out${jobs}.txt" \
+      > "${study_dir}/${bench}_stdout${jobs}.txt"
+  done
+  cmp "${study_dir}/${bench}_m1.jsonl" "${study_dir}/${bench}_m4.jsonl"
+  cmp "${study_dir}/${bench}_stdout1.txt" "${study_dir}/${bench}_stdout4.txt"
+done
+echo "fig09/fig10 study metrics and stdout byte-identical for --jobs 1 vs 4"
 
 echo
 echo "tier-1: OK"
