@@ -5,7 +5,9 @@
 //    be byte-identical to the lockstep reference driver (overlap = false):
 //    same result vectors, same full metrics JSON — sim.* gauges included —
 //    across all five paper systems, reliable delivery off/on, and a nonzero
-//    fault plan. The lockstep driver exists exactly to anchor this test.
+//    fault plan. Each lockstep run is also pinned by an FNV-1a digest of
+//    its fingerprint (kLockstepPins), so the verdicts survive the reference
+//    driver itself.
 // 2. `ShardConfig::kAuto` must (a) resolve lane counts by the documented
 //    size/hardware model, (b) degrade to classic execution on configurations
 //    the sharded driver does not support instead of tripping its
@@ -13,6 +15,9 @@
 //    byte-identical to `shards = 1` whatever it resolves to.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,40 @@ const System kSystems[] = {
     {"SelfAdaptive", UpdateMethod::kSelfAdaptive, InfrastructureKind::kUnicast},
     {"Hat", UpdateMethod::kSelfAdaptive, InfrastructureKind::kHybridSupernode},
 };
+
+// fingerprint_digest() of the lockstep reference driver's run for each
+// system, indexed [faulty][reliable] (4 lanes, 2 workers).
+struct LockstepPin {
+  const char* system;
+  std::uint64_t digest[2][2];
+};
+
+const LockstepPin kLockstepPins[] = {
+    {"Ttl",
+     {{0x8e18b041213b5358ull, 0x8e18b041213b5358ull},
+      {0x05196dc4cd53ca67ull, 0x05196dc4cd53ca67ull}}},
+    {"Push",
+     {{0x1c8f4198855c6d01ull, 0x53b75287af02991dull},
+      {0x60367993b10781edull, 0x2e8f7d17633a7d38ull}}},
+    {"Invalidation",
+     {{0x5af4c50a02feab01ull, 0x6224a143cb9fcfb1ull},
+      {0x7b0ecf1348d4e8c0ull, 0xf5188073a897e6ccull}}},
+    {"SelfAdaptive",
+     {{0x04d6e3d21e7eb47dull, 0x7cc75452791da00aull},
+      {0x634001d1b3fa004cull, 0x9a7553ed0c29e03full}}},
+    {"Hat",
+     {{0x5e7cc58e49cc3d7aull, 0x33bd212921fe2a34ull},
+      {0x4c913f13db2e3de5ull, 0x3478994f7f08c583ull}}},
+};
+
+std::uint64_t lockstep_pin(const std::string& system, bool faulty,
+                           bool reliable) {
+  for (const LockstepPin& pin : kLockstepPins) {
+    if (system == pin.system) return pin.digest[faulty][reliable];
+  }
+  ADD_FAILURE() << "no lockstep pin for " << system;
+  return 0;
+}
 
 fault::FaultPlan nonzero_fault_plan() {
   fault::FaultPlan plan;
@@ -80,6 +119,56 @@ void expect_identical(const Fingerprint& a, const Fingerprint& b) {
   EXPECT_EQ(a.metrics_json, b.metrics_json);
 }
 
+// FNV-1a over every fingerprint field: doubles by bit pattern, vectors and
+// the metrics JSON length-prefixed, so a pin changes with any output byte.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      const auto b = static_cast<unsigned char>(v >> (8 * i));
+      bytes(&b, 1);
+    }
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void f64s(const std::vector<double>& vs) {
+    u64(vs.size());
+    for (double v : vs) f64(v);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t fingerprint_digest(const Fingerprint& fp) {
+  Fnv1a h;
+  h.f64s(fp.server_avg);
+  h.f64s(fp.user_avg);
+  h.f64s(fp.per_server_max_user);
+  h.f64(fp.observed_fraction);
+  h.u64(fp.metrics_json.size());
+  h.bytes(fp.metrics_json.data(), fp.metrics_json.size());
+  return h.value();
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 class ShardPipelineEquivalenceTest : public ::testing::TestWithParam<System> {};
 
 TEST_P(ShardPipelineEquivalenceTest, OverlapMatchesLockstepReference) {
@@ -101,8 +190,10 @@ TEST_P(ShardPipelineEquivalenceTest, OverlapMatchesLockstepReference) {
       const auto lockstep_run = run(*scenario.nodes, updates, lockstep);
       SCOPED_TRACE(std::string(sys.name) + (faulty ? " faulty" : " clean") +
                    (reliable ? " reliable" : " best-effort"));
-      expect_identical(fingerprint(*pipelined_run->engine),
-                       fingerprint(*lockstep_run->engine));
+      const Fingerprint lockstep_fp = fingerprint(*lockstep_run->engine);
+      expect_identical(fingerprint(*pipelined_run->engine), lockstep_fp);
+      EXPECT_EQ(hex(fingerprint_digest(lockstep_fp)),
+                hex(lockstep_pin(sys.name, faulty, reliable)));
     }
   }
 }
