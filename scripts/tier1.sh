@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, then the
 # concurrency layer (thread pool + batch runner + shared-Cdf reads) rebuilt
-# and re-run under ThreadSanitizer, then a Release-mode smoke run of the
+# and re-run under ThreadSanitizer, then the whole test binary rebuilt and
+# run in one process under AddressSanitizer + UBSan (so heap bugs that
+# depend on test order show up too), then a Release-mode smoke run of the
 # core micro-benchmarks gated against the committed BENCH_core.json baseline
 # (catches perf-path code that only compiles, only crashes, or only crawls
 # under optimization), then the observability smoke: fig20 run at --jobs 1
@@ -19,6 +21,7 @@
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
+#   scripts/tier1.sh --no-asan  # skip the whole-suite ASan+UBSan stage
 #   scripts/tier1.sh --no-perf  # skip the Release perf smoke + regression gate
 #   scripts/tier1.sh --no-obs   # skip the observability smoke stage
 #   scripts/tier1.sh --no-fault # skip the fault-injection smoke stage
@@ -27,12 +30,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_tsan=1
+run_asan=1
 run_perf=1
 run_obs=1
 run_fault=1
 for arg in "$@"; do
   case "${arg}" in
     --no-tsan) run_tsan=0 ;;
+    --no-asan) run_asan=0 ;;
     --no-perf) run_perf=0 ;;
     --no-obs) run_obs=0 ;;
     --no-fault) run_fault=0 ;;
@@ -55,6 +60,18 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake --build build-tsan -j --target cdnsim_tests
   ./build-tsan/tests/cdnsim_tests \
     --gtest_filter='ThreadPool*:BatchRunner*:RngTest.Substream*:CdfTest.ConcurrentReadsOnSharedConstCdf:FaultInjectionProperty*:ShardMerge*:*ShardPipeline*:VisitBatch*:Catalog*:Ring*:Pubsub*:Fanout*'
+fi
+
+if [[ "${run_asan}" == "1" ]]; then
+  echo
+  echo "== tier-1: whole test suite under AddressSanitizer + UBSan =="
+  cmake -B build-asan -S . -DCDNSIM_SANITIZE=address >/dev/null
+  cmake --build build-asan -j --target cdnsim_tests
+  # One process for the whole suite, unlike ctest's process per test: a
+  # use-after-free or overflow that only shows once earlier tests have
+  # shaped the heap is caught here. UB reports abort the run.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ./build-asan/tests/cdnsim_tests
 fi
 
 if [[ "${run_perf}" == "1" ]]; then
