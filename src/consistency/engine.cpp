@@ -285,6 +285,8 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   }
   if (sharded_) {
     CDNSIM_EXPECTS(config_.shard.epoch_s > 0, "shard epoch must be positive");
+    CDNSIM_EXPECTS(config_.shard.workers >= 0,
+                   "shard workers must be >= 0 (0 = auto)");
     CDNSIM_EXPECTS(visit_batching_,
                    "sharding requires batched visits (pinned attachment, "
                    "no poll log, visit_batching on)");
@@ -364,20 +366,22 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
 
   end_time_ = updates_->duration() + config_.tail_s;
 
-  // Execution lanes. Classic engines have one lane whose `sim` stays null
-  // (the external simulator drives everything); sharded engines partition
-  // servers into contiguous lanes, each with its own internal Simulator,
-  // and anchor the provider to lane 0.
+  // Execution lanes. A classic engine is lane 0 alone, driven by the
+  // external simulator; sharded engines partition servers into contiguous
+  // lanes, each with its own engine-owned Simulator, and anchor the
+  // provider to lane 0.
   const std::size_t server_count = servers_.size();
   std::size_t lane_count = 1;
   if (sharded_) lane_count = static_cast<std::size_t>(resolved_shards);
   lanes_ = std::vector<Lane>(lane_count);
   lane_of_.assign(server_count + 1, 0);
+  lanes_[0].sim = sim_;
   if (sharded_) {
     for (std::size_t i = 0; i < server_count; ++i) {
       lane_of_[i + 1] = static_cast<std::uint32_t>(i * lane_count / server_count);
     }
-    for (Lane& lane : lanes_) lane.sim = std::make_unique<sim::Simulator>();
+    lane_sims_ = std::make_unique<sim::Simulator[]>(lane_count);
+    for (std::size_t i = 0; i < lane_count; ++i) lanes_[i].sim = &lane_sims_[i];
     merge_ = std::make_unique<sim::ShardMergeQueue>(lane_count);
     node_send_seq_.assign(server_count + 1, 0);
     node_rngs_.reserve(server_count + 1);
@@ -397,9 +401,9 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
 UpdateEngine::~UpdateEngine() {
   // servers_/users_ hold timers and event handles that may be registered on
   // the engine-owned lane simulators; members are destroyed in reverse
-  // declaration order, which would free the lanes (declared later) first
+  // declaration order, which would free lane_sims_ (declared later) first
   // and leave the timer destructors cancelling into dead event queues.
-  // Tear the handle owners down here, while lanes_ is still alive.
+  // Tear the handle owners down here, while lane_sims_ is still alive.
   users_.clear();
   servers_.clear();
 }
@@ -407,14 +411,6 @@ UpdateEngine::~UpdateEngine() {
 // ---------------------------------------------------------------------------
 // Lane anchoring
 // ---------------------------------------------------------------------------
-
-sim::Simulator& UpdateEngine::sim_of(NodeId node) {
-  return sharded_ ? *lanes_[lane_index_of(node)].sim : *sim_;
-}
-
-const sim::Simulator& UpdateEngine::sim_of(NodeId node) const {
-  return sharded_ ? *lanes_[lane_index_of(node)].sim : *sim_;
-}
 
 util::Rng& UpdateEngine::rng_of(NodeId node) {
   return sharded_ ? node_rngs_[static_cast<std::size_t>(node + 1)] : rng_;
@@ -960,16 +956,7 @@ void UpdateEngine::deliver_at(NodeId from, NodeId to, net::MessageKind kind,
       if (servers_[static_cast<std::size_t>(to)]->departed) return;
       action();
     };
-    if (sharded_) {
-      merge_->emit(lane_index_of(from),
-                   {arrival, from,
-                    node_send_seq_[static_cast<std::size_t>(from + 1)]++,
-                    static_cast<std::uint32_t>(lane_index_of(to)),
-                    delivery_tag(kind), std::move(guarded)});
-    } else {
-      sim_->at(arrival, delivery_tag(kind), std::move(guarded));
-    }
-    return;
+    action = std::move(guarded);
   }
   if (sharded_) {
     merge_->emit(lane_index_of(from),
@@ -1271,7 +1258,7 @@ void UpdateEngine::acquire_version(ServerState& s, Version v) {
   if (ts_ != nullptr) {
     // Propagation span: the same publish->apply latency, recorded into the
     // owning lane's buffer (single-writer) and rolled up at report time.
-    lanes_[sharded_ ? lane_index_of(s.id) : 0].spans.record(
+    lanes_[lane_index_of(s.id)].spans.record(
         static_cast<std::uint64_t>(v), now - s.last_known_update_time);
   }
   if (config_.record_trace_events) {
@@ -2346,22 +2333,20 @@ void UpdateEngine::horizon_server(ServerState& s) {
 void UpdateEngine::run() {
   if (sharded_) {
     run_sharded();
-    finish_timeseries();
-    publish_run_stats();
-    return;
-  }
-  prepare();
-  if (ts_ == nullptr) {
-    sim_->run();
   } else {
-    // Grid-driven execution: run strictly up to each sample point, record
-    // the row, repeat. The loop's final row lands on the first grid point
-    // strictly after the last event, so the delta columns' totals cover
-    // the whole run (check_obs.py reconciles them against the registry).
-    for (;;) {
-      sim_->run_before(ts_->next_sample_time());
-      sample_timeseries();
-      if (sim_->drained()) break;
+    prepare();
+    if (ts_ == nullptr) {
+      sim_->run();
+    } else {
+      // Grid-driven execution: run strictly up to each sample point, record
+      // the row, repeat. The loop's final row lands on the first grid point
+      // strictly after the last event, so the delta columns' totals cover
+      // the whole run (check_obs.py reconciles them against the registry).
+      for (;;) {
+        sim_->run_before(ts_->next_sample_time());
+        sample_timeseries();
+        if (sim_->drained()) break;
+      }
     }
   }
   finish_timeseries();
@@ -2395,24 +2380,34 @@ void UpdateEngine::prepare_events() {
   schedule_brownouts();
 
   // Stop all periodic activity at the horizon; in-flight messages drain.
-  if (!sharded_) {
-    sim_->at(end_time_, kTagHorizon, [this] {
-      for (auto& s : servers_) horizon_server(*s);
+  // One horizon event per lane, each flushing only its own servers.
+  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+    lanes_[lane].sim->at(end_time_, kTagHorizon, [this, lane] {
+      for (auto& s : servers_) {
+        if (lane_index_of(s->id) == lane) horizon_server(*s);
+      }
+      // Only per-visit users have timers, and they never run sharded.
       for (auto& u : users_) {
         if (u->visit_timer) u->visit_timer->stop();
       }
     });
-  } else {
-    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-      lanes_[lane].sim->at(end_time_, kTagHorizon, [this, lane] {
-        for (auto& s : servers_) {
-          if (lane_index_of(s->id) == lane) horizon_server(*s);
-        }
-      });
-    }
   }
 }
 
+// The sharded driver. Each round picks a barrier, the first epoch-grid point
+// strictly after the earliest pending event, and runs every lane up to it.
+// Cross-lane messages a lane emits during a round are staged in the merge
+// queue's write generation; flip() turns them into per-target columns, and
+// each lane's worker injects its own column at the start of the next round,
+// concurrently with the other lanes.
+//
+// Barrier-fold invariant: a staged message is a pending event like any
+// other. Its arrival is quantized to the epoch grid ahead of every lane
+// clock, so folding the staged minimum into the next-event minimum yields
+// the barrier sequence of a run in which every message is injected the
+// moment it is sent. That sequence, and each lane's (arrival, sender, seq)
+// injection order, are functions of the simulated history alone, never of
+// the lane count, the worker count or thread timing.
 void UpdateEngine::run_sharded() {
   CDNSIM_EXPECTS(!ran_, "UpdateEngine may only be prepared/run once");
   ran_ = true;
@@ -2427,126 +2422,11 @@ void UpdateEngine::run_sharded() {
   std::unique_ptr<util::ThreadPool> pool;
   if (worker_count > 1) pool = std::make_unique<util::ThreadPool>(worker_count);
 
-  if (config_.shard.overlap) {
-    run_sharded_pipelined(pool.get());
-  } else {
-    run_sharded_lockstep(pool.get());
-  }
-}
-
-// Reference driver: every round fully quiesces, then the driver alone drains
-// the merge queue in global (arrival, sender, seq) order and injects. Kept
-// as the baseline the pipelined driver is equivalence-tested against.
-void UpdateEngine::run_sharded_lockstep(util::ThreadPool* pool) {
-  const std::size_t lane_count = lanes_.size();
-  const double epoch = config_.shard.epoch_s;
-  std::int64_t last_k = std::numeric_limits<std::int64_t>::min();
-  std::vector<std::exception_ptr> errors(lane_count);
-  for (;;) {
-    sim::SimTime min_next = std::numeric_limits<sim::SimTime>::infinity();
-    for (const Lane& lane : lanes_) {
-      if (!lane.sim->drained()) {
-        min_next = std::min(min_next, lane.sim->next_event_time());
-      }
-    }
-    if (!(min_next < std::numeric_limits<sim::SimTime>::infinity())) {
-      if (merge_->empty()) break;  // all lanes drained, nothing in flight
-    } else {
-      // Sample points at or before the next event are complete (everything
-      // strictly before them has fired); emit them before running further.
-      // The sequence of sample points is a function of the min_next
-      // sequence, which is decomposition-invariant.
-      if (ts_ != nullptr) {
-        while (ts_->next_sample_time() <= min_next) sample_timeseries();
-      }
-      // The barrier is the first epoch-grid point strictly after the next
-      // event, so every event fired this round lies in a single epoch cell
-      // — whose closing grid point is exactly what per-message arrival
-      // quantization computes. The backstop keeps barriers strictly
-      // monotone even if floating point misplaces a grid-aligned event.
-      std::int64_t next_k =
-          static_cast<std::int64_t>(std::floor(min_next / epoch)) + 1;
-      if (next_k <= last_k) next_k = last_k + 1;
-      sim::SimTime barrier = static_cast<double>(next_k) * epoch;
-      if (ts_ != nullptr && ts_->next_sample_time() < barrier) {
-        // Partial round up to the next sample point. Events still lie
-        // inside the same epoch cell (the sample point precedes its
-        // close), so arrival quantization is unchanged; last_k is
-        // committed only for full epoch barriers so the monotone backstop
-        // never skips a cell.
-        barrier = ts_->next_sample_time();
-      } else {
-        last_k = next_k;
-      }
-      const bool track_wall = ts_ != nullptr;
-      const auto wall_start = track_wall ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point();
-      if (pool) {
-        bool submitted = false;
-        for (std::size_t i = 0; i < lane_count; ++i) {
-          sim::Simulator* lane_sim = lanes_[i].sim.get();
-          if (lane_sim->drained() || !(lane_sim->next_event_time() < barrier)) {
-            continue;
-          }
-          std::exception_ptr* err = &errors[i];
-          pool->submit([lane_sim, barrier, err] {
-            try {
-              lane_sim->run_before(barrier);
-            } catch (...) {
-              *err = std::current_exception();
-            }
-          });
-          submitted = true;
-        }
-        if (submitted) pool->wait_idle();
-        for (std::exception_ptr& e : errors) {
-          if (e) std::rethrow_exception(std::exchange(e, nullptr));
-        }
-      } else {
-        for (Lane& lane : lanes_) lane.sim->run_before(barrier);
-      }
-      if (track_wall) {
-        ts_barrier_wait_ns_ += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count());
-      }
-      update_shard_progress();
-    }
-    // Single-threaded exchange: drain every outbox in the deterministic
-    // (arrival, sender, seq) order and inject into the target lanes. Every
-    // arrival is >= the current barrier, ahead of every lane's clock.
-    obs::ProfileScope scope(profiler_, ps_shard_merge_);
-    auto messages = merge_->drain();
-    for (auto& m : messages) {
-      lanes_[m.target_lane].sim->at(m.arrival, m.tag, std::move(m.action));
-    }
-  }
-  // One closing row strictly after the last event (the per-round clamp
-  // keeps the grid caught up, so exactly one is pending at exit).
-  if (ts_ != nullptr) sample_timeseries();
-}
-
-// Overlapped driver: cross-lane messages ride the double-buffered staging
-// generations, so each round's injection (read generation, per-target
-// columns) happens on the *worker* threads, concurrently with lane
-// execution, instead of serializing on the driver. Equivalence with the
-// lockstep driver rests on two facts: (1) the barrier fold below takes the
-// staged minimum into account, so the barrier sequence equals lockstep's
-// post-injection one; (2) each target's sorted column is a subsequence of
-// the global (arrival, sender, seq) sort, so per-lane injection order
-// matches what a global drain would have handed that lane.
-void UpdateEngine::run_sharded_pipelined(util::ThreadPool* pool) {
-  const std::size_t lane_count = lanes_.size();
   const double epoch = config_.shard.epoch_s;
   std::int64_t last_k = std::numeric_limits<std::int64_t>::min();
   std::vector<std::exception_ptr> errors(lane_count);
   sim::ShardMergeQueue* merge = merge_.get();
   for (;;) {
-    // Fold the staged (not-yet-injected) messages into the next-event
-    // minimum: a lockstep driver would have injected them before picking
-    // its barrier, and every staged arrival sits on the epoch grid ahead
-    // of all lane clocks, so the fold is exactly its post-injection view.
     sim::SimTime min_next = std::numeric_limits<sim::SimTime>::infinity();
     for (const Lane& lane : lanes_) {
       if (!lane.sim->drained()) {
@@ -2555,27 +2435,31 @@ void UpdateEngine::run_sharded_pipelined(util::ThreadPool* pool) {
     }
     min_next = std::min(min_next, merge->min_staged_arrival());
     if (!(min_next < std::numeric_limits<sim::SimTime>::infinity())) break;
-    // Emit complete sample points before running further (see the lockstep
-    // driver). Staged messages are future events — their arrivals sit on
-    // the epoch grid at or after min_next — so they are correctly outside
-    // the sampled prefix.
+    // Sample points at or before the next pending event are complete
+    // (everything strictly before them has fired); emit them before running
+    // further. Staged messages are future events, correctly outside the
+    // sampled prefix.
     if (ts_ != nullptr) {
       while (ts_->next_sample_time() <= min_next) sample_timeseries();
     }
+    // Every event fired this round lies in one epoch cell, whose closing
+    // grid point is exactly what per-message arrival quantization computes.
+    // The backstop keeps barriers strictly monotone even if floating point
+    // misplaces a grid-aligned event.
     std::int64_t next_k =
         static_cast<std::int64_t>(std::floor(min_next / epoch)) + 1;
     if (next_k <= last_k) next_k = last_k + 1;
     sim::SimTime barrier = static_cast<double>(next_k) * epoch;
     if (ts_ != nullptr && ts_->next_sample_time() < barrier) {
-      // Partial round up to the sample point; last_k is committed only for
-      // full epoch barriers (see the lockstep driver).
+      // Partial round up to the sample point. Events still lie inside the
+      // same epoch cell, so arrival quantization is unchanged; last_k is
+      // committed only for full epoch barriers so the backstop never skips
+      // a cell.
       barrier = ts_->next_sample_time();
     } else {
       last_k = next_k;
     }
     {
-      // Same once-per-round scope the lockstep drain records, so the
-      // deterministic profile section stays invariant across drivers.
       obs::ProfileScope scope(profiler_, ps_shard_merge_);
       merge->flip();
     }
@@ -2623,13 +2507,12 @@ void UpdateEngine::run_sharded_pipelined(util::ThreadPool* pool) {
               .count());
     }
   }
-  // One closing row strictly after the last event (see the lockstep
-  // driver).
+  // One closing row strictly after the last event (the per-round clamp
+  // keeps the grid caught up, so exactly one is pending at exit).
   if (ts_ != nullptr) sample_timeseries();
 }
 
 std::uint64_t UpdateEngine::events_processed() const {
-  if (!sharded_) return sim_->events_processed();
   std::uint64_t total = 0;
   for (const Lane& lane : lanes_) total += lane.sim->events_processed();
   // The horizon flush is one logical event scheduled once per lane; count
@@ -2640,7 +2523,6 @@ std::uint64_t UpdateEngine::events_processed() const {
 }
 
 sim::SimTime UpdateEngine::final_time() const {
-  if (!sharded_) return sim_->now();
   sim::SimTime t = 0;
   for (const Lane& lane : lanes_) t = std::max(t, lane.sim->now());
   return t;

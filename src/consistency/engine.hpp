@@ -73,9 +73,6 @@ class ShardMergeQueue;
 namespace cdnsim::trace {
 struct VisitSchedule;
 }
-namespace cdnsim::util {
-class ThreadPool;
-}
 
 namespace cdnsim::consistency {
 
@@ -145,16 +142,12 @@ struct EngineConfig {
     /// epoch-grid point after its send time or its network arrival,
     /// whichever is later.
     sim::SimTime epoch_s = 0.25;
-    /// Worker threads driving the lanes; 0 = min(shards, hardware).
-    /// Output is byte-identical for any value.
-    int workers = 0;
-    /// Overlapped epoch pipeline (default): each lane injects its own
+    /// Worker threads driving the lanes; 0 = min(shards, hardware),
+    /// negative values are rejected. Each worker injects its lane's
     /// incoming cross-lane messages from the previous epoch at the start of
-    /// its round, so merge work for epoch k overlaps lane execution of
-    /// epoch k+1. false = lockstep driver (lanes idle while the driver
-    /// drains the merge queue serially). Byte-identical either way; the
-    /// lockstep mode exists as the equivalence-test reference.
-    bool overlap = true;
+    /// the lane's round, so merge work overlaps lane execution. Output is
+    /// byte-identical for any value.
+    int workers = 0;
   };
   ShardConfig shard;
 
@@ -399,12 +392,12 @@ class UpdateEngine {
     pubsub::FanoutStats pubsub;
   };
 
-  /// One execution context. Classic engines have exactly one lane whose
-  /// `sim` is null (the external simulator is used); sharded engines own
-  /// one internal Simulator per lane. Cache-line aligned: counters and
-  /// meters are written concurrently by different workers.
+  /// One execution context. A classic engine is lane 0 alone, whose `sim`
+  /// is the external simulator; a sharded engine's lanes point into
+  /// lane_sims_, one engine-owned Simulator each. Cache-line aligned:
+  /// counters and meters are written concurrently by different workers.
   struct alignas(64) Lane {
-    std::unique_ptr<sim::Simulator> sim;
+    sim::Simulator* sim = nullptr;  // not owned
     net::TrafficMeter meter;
     LaneCounters counters;
     obs::SpanBuffer spans;  // propagation-span applies (single-writer)
@@ -419,15 +412,19 @@ class UpdateEngine {
   std::size_t lane_index_of(topology::NodeId node) const {
     return lane_of_[static_cast<std::size_t>(node + 1)];
   }
-  sim::Simulator& sim_of(topology::NodeId node);
-  const sim::Simulator& sim_of(topology::NodeId node) const;
+  sim::Simulator& sim_of(topology::NodeId node) {
+    return *lanes_[lane_index_of(node)].sim;
+  }
+  const sim::Simulator& sim_of(topology::NodeId node) const {
+    return *lanes_[lane_index_of(node)].sim;
+  }
   util::Rng& rng_of(topology::NodeId node);
   fault::Injector* injector_of(topology::NodeId node);
   net::TrafficMeter& meter_of(topology::NodeId node) {
-    return lanes_[sharded_ ? lane_index_of(node) : 0].meter;
+    return lanes_[lane_index_of(node)].meter;
   }
   LaneCounters& counters_of(topology::NodeId node) {
-    return lanes_[sharded_ ? lane_index_of(node) : 0].counters;
+    return lanes_[lane_index_of(node)].counters;
   }
 
   // message transport: one lone message through a Sender (see its
@@ -603,8 +600,6 @@ class UpdateEngine {
   // run drivers
   void prepare_events();
   void run_sharded();
-  void run_sharded_lockstep(util::ThreadPool* pool);
-  void run_sharded_pipelined(util::ThreadPool* pool);
 
   /// Parent-side subscription bookkeeping for self-adaptive children
   /// (which children are in invalidation mode, and which were already sent
@@ -667,6 +662,7 @@ class UpdateEngine {
   bool visit_batching_ = false;
   bool sharded_ = false;
   std::unique_ptr<trace::VisitSchedule> visit_plan_;
+  std::unique_ptr<sim::Simulator[]> lane_sims_;  // sharded lanes only
   std::vector<Lane> lanes_;                 // exactly 1 when !sharded_
   std::vector<std::uint32_t> lane_of_;      // node id + 1 -> lane index
   std::unique_ptr<sim::ShardMergeQueue> merge_;

@@ -21,17 +21,6 @@ void ShardMergeQueue::emit(std::size_t lane, Message msg) {
   row.buckets[msg.target_lane].messages.push_back(std::move(msg));
 }
 
-bool ShardMergeQueue::empty() const {
-  for (const Generation& gen : generations_) {
-    for (const Row& row : gen) {
-      for (const Bucket& bucket : row.buckets) {
-        if (!bucket.messages.empty()) return false;
-      }
-    }
-  }
-  return true;
-}
-
 void ShardMergeQueue::flip() {
   // The previous read generation must be fully consumed before it can be
   // reused for staging; a leftover message here would silently time-travel
@@ -85,41 +74,16 @@ std::vector<ShardMergeQueue::Message> ShardMergeQueue::take_incoming(
     for (Message& m : bucket.messages) merged.push_back(std::move(m));
     bucket.messages.clear();
   }
-  sort_messages(merged);
-  return merged;
-}
-
-std::vector<ShardMergeQueue::Message> ShardMergeQueue::drain() {
-  // Lockstep path: everything staged so far becomes one globally sorted
-  // batch. flip() checks that the read generation was already consumed.
-  flip();
-  std::vector<Message> merged;
-  Generation& gen = read_gen();
-  std::size_t total = 0;
-  for (const Row& row : gen) {
-    for (const Bucket& bucket : row.buckets) total += bucket.messages.size();
-  }
-  merged.reserve(total);
-  for (Row& row : gen) {
-    for (Bucket& bucket : row.buckets) {
-      for (Message& m : bucket.messages) merged.push_back(std::move(m));
-      bucket.messages.clear();
-    }
-  }
-  sort_messages(merged);
-  return merged;
-}
-
-void ShardMergeQueue::sort_messages(std::vector<Message>& messages) {
   // (sender, seq) pairs are unique, so this comparison is a strict total
   // order and the sort result does not depend on the pre-sort (thread
   // arrival) order of the concatenated buckets.
-  std::sort(messages.begin(), messages.end(),
+  std::sort(merged.begin(), merged.end(),
             [](const Message& a, const Message& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               if (a.sender != b.sender) return a.sender < b.sender;
               return a.seq < b.seq;
             });
+  return merged;
 }
 
 }  // namespace cdnsim::sim

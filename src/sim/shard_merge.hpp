@@ -16,14 +16,13 @@
 // send), which is what makes the per-lane histories independent within an
 // epoch in the first place.
 //
-// Two generations make the overlapped pipeline possible: while lanes run
+// Two generations let merge work overlap lane execution: while lanes run
 // round k+1 (emitting into the write generation), each lane's worker also
 // injects its round-k incoming messages from the read generation. The two
 // never alias, and `take_incoming(t)` touches only column-t buckets, so
-// per-target injection parallelizes without locks. Because each target's
-// sorted column is a subsequence of the global (arrival, sender, seq) order,
-// per-lane injection produces byte-identical event sequences to a global
-// sorted drain.
+// per-target injection parallelizes without locks. Each target's column is
+// sorted by the message keys alone, so a lane's injection order does not
+// depend on which lanes the senders ran on.
 #pragma once
 
 #include <cstddef>
@@ -57,9 +56,6 @@ class ShardMergeQueue {
   /// wait-free and race-free.
   void emit(std::size_t lane, Message msg);
 
-  /// True when both generations hold no messages. Driver-thread only.
-  bool empty() const;
-
   /// Swaps the write and read generations. Driver-thread only, after the
   /// lanes have quiesced and after every `take_incoming` column of the
   /// previous read generation has been consumed.
@@ -71,9 +67,8 @@ class ShardMergeQueue {
 
   /// Earliest arrival staged in the write generation, or +infinity when it
   /// is empty. Driver-thread only, after the lanes have quiesced. The
-  /// pipelined driver folds this into its epoch-barrier computation so the
-  /// barrier sequence matches what a lockstep drain-then-run driver with
-  /// these messages already injected would have produced.
+  /// sharded driver folds this into its epoch-barrier computation: staged
+  /// messages count as pending events.
   SimTime min_staged_arrival() const;
 
   /// Messages bound for `target` in the read generation. Safe to call
@@ -84,12 +79,6 @@ class ShardMergeQueue {
   /// (arrival, sender, seq). Safe to call concurrently for *distinct*
   /// targets: only column-`target` buckets are touched.
   std::vector<Message> take_incoming(std::size_t target);
-
-  /// Moves out all buffered messages (both generations must collapse into
-  /// one: the read generation must be empty), sorted globally by (arrival,
-  /// sender, seq). Driver-thread only, after the lanes have quiesced. This
-  /// is the lockstep driver's path and the historical API.
-  std::vector<Message> drain();
 
   std::size_t lane_count() const { return generations_[0].size(); }
 
@@ -106,8 +95,6 @@ class ShardMergeQueue {
     SimTime min_arrival = std::numeric_limits<SimTime>::infinity();
   };
   using Generation = std::vector<Row>;
-
-  static void sort_messages(std::vector<Message>& messages);
 
   Generation& write_gen() { return generations_[write_index_]; }
   const Generation& write_gen() const { return generations_[write_index_]; }

@@ -1,17 +1,17 @@
 // Decomposition invariance and reconciliation for the engine's time-series
 // sampling. Named *ShardPipeline* so the tier-1 TSan stage picks the suite
-// up: the sampler interleaves with the sharded drivers' epoch loop (barrier
+// up: the sampler interleaves with the sharded driver's epoch loop (barrier
 // clamping, closing sample), which is exactly where a data race or a
 // decomposition leak would live.
 //
 // 1. The deterministic timeseries section must be byte-identical across
-//    every lane count, both sharded drivers (lockstep and overlapped) and
-//    every worker count — including the edge grids (sample interval beyond
-//    the horizon, samples landing exactly on event times). Classic
-//    execution is its own timing domain (no epoch grid — see the auto
-//    selection notes in shard_pipeline_equivalence_test.cpp), so the
-//    reference is a single lockstep lane, the same contract the tier-1
-//    --shards 1/2/8/auto grid pins on the artifact files.
+//    every lane count and every worker count — including the edge grids
+//    (sample interval beyond the horizon, samples landing exactly on event
+//    times). Classic execution is its own timing domain (no epoch grid —
+//    see the auto selection notes in shard_pipeline_equivalence_test.cpp),
+//    so the reference is a single sharded lane on one worker, the same
+//    contract the tier-1 --shards 1/2/8/auto grid pins on the artifact
+//    files.
 // 2. Delta-column interval sums must telescope to the final MetricsRegistry
 //    counters, and the closing sample must reproduce the end-of-run
 //    converged_server_fraction exactly — the contract check_obs.py
@@ -44,10 +44,8 @@ fault::FaultPlan nonzero_fault_plan() {
 
 std::string timeseries_json(const topology::NodeRegistry& nodes,
                             const trace::UpdateTrace& updates,
-                            EngineConfig config, int shards, bool overlap,
-                            int workers) {
+                            EngineConfig config, int shards, int workers) {
   config.shard.shards = shards;
-  config.shard.overlap = overlap;
   config.shard.workers = workers;
   const core::SimulationResult r =
       core::run_simulation(nodes, updates, config);
@@ -59,17 +57,14 @@ void expect_invariant_across_decompositions(const trace::UpdateTrace& updates,
                                             EngineConfig config) {
   const auto scenario = small_scenario();
   const std::string reference = timeseries_json(
-      *scenario.nodes, updates, config, /*shards=*/1, /*overlap=*/false, 1);
+      *scenario.nodes, updates, config, /*shards=*/1, /*workers=*/1);
   for (const int shards : {1, 2, 4}) {
-    for (const bool overlap : {false, true}) {
-      for (const int workers : {1, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " overlap=" + std::to_string(overlap) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(timeseries_json(*scenario.nodes, updates, config, shards,
-                                  overlap, workers),
-                  reference);
-      }
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      EXPECT_EQ(
+          timeseries_json(*scenario.nodes, updates, config, shards, workers),
+          reference);
     }
   }
 }

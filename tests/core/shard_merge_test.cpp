@@ -1,13 +1,15 @@
 // Determinism tests for the cross-shard merge queue.
 //
 // The sharded engine's byte-identical-for-any-shard-count guarantee rests on
-// one invariant: the order drain() returns messages in is a pure function of
-// (arrival, sender, seq) — never of lane assignment, emission interleaving,
-// or which worker thread appended first. These tests drive the queue with
-// randomized message sets, permute how the same logical messages are spread
-// across lanes and interleaved, and require the drained order to come out
-// identical every time. ShardMerge* runs under the TSan tier as well
-// (tier1.sh) to certify the emit/drain handoff race-free.
+// one invariant: the order take_incoming() hands a target lane its messages
+// in is a pure function of (arrival, sender, seq) — never of lane
+// assignment, emission interleaving, or which worker thread appended first.
+// These tests drive the queue with randomized message sets, permute how the
+// same logical messages are spread across lanes and interleaved, and require
+// every column to equal a local oracle: the emitted keys bound for that
+// target, std::sort-ed by (arrival, sender, seq). ShardMerge* runs under the
+// TSan tier as well (tier1.sh) to certify the emit/flip/take handoff
+// race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,14 +30,60 @@ struct Key {
   SimTime arrival;
   std::int32_t sender;
   std::uint64_t seq;
+  std::uint32_t target;
   bool operator==(const Key& o) const {
-    return arrival == o.arrival && sender == o.sender && seq == o.seq;
+    return arrival == o.arrival && sender == o.sender && seq == o.seq &&
+           target == o.target;
   }
 };
 
-std::vector<Key> drain_keys(ShardMergeQueue& q) {
+Key key_of(const ShardMergeQueue::Message& m) {
+  return {m.arrival, m.sender, m.seq, m.target_lane};
+}
+
+std::vector<Key> keys_of(const std::vector<ShardMergeQueue::Message>& msgs) {
   std::vector<Key> keys;
-  for (const auto& m : q.drain()) keys.push_back({m.arrival, m.sender, m.seq});
+  for (const auto& m : msgs) keys.push_back(key_of(m));
+  return keys;
+}
+
+// The oracle: each target's keys sorted by (arrival, sender, seq), columns
+// concatenated in target order.
+std::vector<Key> expected_columns(std::vector<Key> keys,
+                                  std::size_t lane_count) {
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.arrival, a.sender, a.seq) <
+           std::tie(b.arrival, b.sender, b.seq);
+  });
+  std::vector<Key> out;
+  for (std::uint32_t t = 0; t < lane_count; ++t) {
+    for (const Key& k : keys) {
+      if (k.target == t) out.push_back(k);
+    }
+  }
+  return out;
+}
+
+bool holds_nothing(const ShardMergeQueue& q) {
+  if (q.staged_count() != 0) return false;
+  for (std::size_t t = 0; t < q.lane_count(); ++t) {
+    if (q.incoming_count(t) != 0) return false;
+  }
+  return true;
+}
+
+// Flips the staged messages into the read generation and consumes every
+// target's column, concatenated in target order.
+std::vector<Key> take_all_keys(ShardMergeQueue& q) {
+  q.flip();
+  std::vector<Key> keys;
+  for (std::size_t t = 0; t < q.lane_count(); ++t) {
+    const std::size_t announced = q.incoming_count(t);
+    const auto column = q.take_incoming(t);
+    EXPECT_EQ(column.size(), announced) << "target " << t;
+    for (const auto& m : column) keys.push_back(key_of(m));
+  }
+  EXPECT_TRUE(holds_nothing(q));
   return keys;
 }
 
@@ -61,17 +109,13 @@ std::vector<ShardMergeQueue::Message> make_population(std::uint64_t seed,
 TEST(ShardMergeTest, DrainOrderIsSortedByArrivalSenderSeq) {
   ShardMergeQueue q(3);
   auto msgs = make_population(0xabc, 200);
-  const std::size_t count = msgs.size();
+  const std::vector<Key> expected = expected_columns(keys_of(msgs), 3);
   util::Rng lanes(99);
   for (auto& m : msgs) q.emit(lanes.index(3), std::move(m));
-  const auto keys = drain_keys(q);
-  ASSERT_EQ(keys.size(), count);
-  EXPECT_TRUE(std::is_sorted(
-      keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-        return std::tie(a.arrival, a.sender, a.seq) <
-               std::tie(b.arrival, b.sender, b.seq);
-      }));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.staged_count(), expected.size());
+  const auto keys = take_all_keys(q);
+  ASSERT_EQ(keys.size(), expected.size());
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(ShardMergeTest, OrderIndependentOfLaneAssignmentAndInterleaving) {
@@ -89,10 +133,13 @@ TEST(ShardMergeTest, OrderIndependentOfLaneAssignmentAndInterleaving) {
     }
     const std::size_t lane_count = 1 + static_cast<std::size_t>(round % 4);
     ShardMergeQueue q(lane_count);
+    const std::vector<Key> expected =
+        expected_columns(keys_of(msgs), lane_count);
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       q.emit(i % lane_count, std::move(msgs[i]));
     }
-    const auto keys = drain_keys(q);
+    const auto keys = take_all_keys(q);
+    EXPECT_EQ(keys, expected) << "round " << round;
     if (reference.empty()) {
       reference = keys;
     } else {
@@ -108,22 +155,34 @@ TEST(ShardMergeTest, ConcurrentPerLaneEmissionIsRaceFreeAndDeterministic) {
   constexpr std::size_t kLanes = 4;
   constexpr std::size_t kPerLane = 500;
 
+  // Per-sender seq counters local to the lane: sender ids are disjoint
+  // across lanes (sender = lane * 1000 + k % 3), matching the engine's
+  // single-writer node-to-lane anchoring.
+  auto lane_messages = [](std::size_t lane) {
+    std::vector<ShardMergeQueue::Message> msgs;
+    std::uint64_t seqs[3] = {0, 0, 0};
+    util::Rng rng(0x515 + lane);
+    for (std::size_t k = 0; k < kPerLane; ++k) {
+      ShardMergeQueue::Message m;
+      m.arrival = static_cast<SimTime>(rng.index(4)) * 0.5;
+      const std::size_t s = k % 3;
+      m.sender = static_cast<std::int32_t>(lane * 1000 + s);
+      m.seq = seqs[s]++;
+      m.target_lane = static_cast<std::uint32_t>(k % kLanes);
+      msgs.push_back(std::move(m));
+    }
+    return msgs;
+  };
+  std::vector<Key> emitted;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const auto keys = keys_of(lane_messages(lane));
+    emitted.insert(emitted.end(), keys.begin(), keys.end());
+  }
+  const std::vector<Key> expected = expected_columns(emitted, kLanes);
+
   auto build = [&](ShardMergeQueue& q, bool threaded) {
-    auto emit_lane = [&q](std::size_t lane) {
-      // Per-sender seq counters local to the lane: sender ids are disjoint
-      // across lanes (sender = lane * 1000 + k % 3), matching the engine's
-      // single-writer node-to-lane anchoring.
-      std::uint64_t seqs[3] = {0, 0, 0};
-      util::Rng rng(0x515 + lane);
-      for (std::size_t k = 0; k < kPerLane; ++k) {
-        ShardMergeQueue::Message m;
-        m.arrival = static_cast<SimTime>(rng.index(4)) * 0.5;
-        const std::size_t s = k % 3;
-        m.sender = static_cast<std::int32_t>(lane * 1000 + s);
-        m.seq = seqs[s]++;
-        m.target_lane = static_cast<std::uint32_t>(k % kLanes);
-        q.emit(lane, std::move(m));
-      }
+    auto emit_lane = [&q, &lane_messages](std::size_t lane) {
+      for (auto& m : lane_messages(lane)) q.emit(lane, std::move(m));
     };
     if (threaded) {
       util::ThreadPool pool(kLanes);
@@ -138,13 +197,14 @@ TEST(ShardMergeTest, ConcurrentPerLaneEmissionIsRaceFreeAndDeterministic) {
 
   ShardMergeQueue serial(kLanes);
   build(serial, /*threaded=*/false);
-  const auto reference = drain_keys(serial);
+  const auto reference = take_all_keys(serial);
   ASSERT_EQ(reference.size(), kLanes * kPerLane);
+  EXPECT_EQ(reference, expected);
 
   for (int round = 0; round < 3; ++round) {
     ShardMergeQueue q(kLanes);
     build(q, /*threaded=*/true);
-    EXPECT_EQ(drain_keys(q), reference) << "round " << round;
+    EXPECT_EQ(take_all_keys(q), reference) << "round " << round;
   }
 }
 
@@ -159,19 +219,24 @@ TEST(ShardMergeTest, DrainResetsAndPreservesActions) {
     m.action = [&fired] { fired.fetch_add(1, std::memory_order_relaxed); };
     q.emit(i % 2, std::move(m));
   }
-  EXPECT_FALSE(q.empty());
-  auto drained = q.drain();
-  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(holds_nothing(q));
+  q.flip();
+  EXPECT_EQ(q.incoming_count(0), 10u);
+  EXPECT_EQ(q.incoming_count(1), 0u);
+  auto drained = q.take_incoming(0);
+  EXPECT_TRUE(q.take_incoming(1).empty());
+  EXPECT_TRUE(holds_nothing(q));
   ASSERT_EQ(drained.size(), 10u);
   for (auto& m : drained) m.action();
   EXPECT_EQ(fired.load(), 10);
   // A drained queue is immediately reusable.
-  EXPECT_EQ(q.drain().size(), 0u);
+  EXPECT_TRUE(take_all_keys(q).empty());
   ShardMergeQueue::Message again;
   again.sender = 42;
+  again.target_lane = 1;
   q.emit(1, std::move(again));
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.drain().size(), 1u);
+  EXPECT_FALSE(holds_nothing(q));
+  EXPECT_EQ(take_all_keys(q).size(), 1u);
 }
 
 }  // namespace
