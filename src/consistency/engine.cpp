@@ -952,11 +952,10 @@ void UpdateEngine::deliver_at(NodeId from, NodeId to, net::MessageKind kind,
       const sim::SimTime available = dest.absence->available_from(arrival);
       if (available > arrival) arrival = available + 0.001;
     }
-    sim::EventAction guarded = [this, to, action = std::move(action)]() mutable {
+    action = [this, to, inner = std::move(action)]() mutable {
       if (servers_[static_cast<std::size_t>(to)]->departed) return;
-      action();
+      inner();
     };
-    action = std::move(guarded);
   }
   if (sharded_) {
     merge_->emit(lane_index_of(from),
@@ -2333,20 +2332,22 @@ void UpdateEngine::horizon_server(ServerState& s) {
 void UpdateEngine::run() {
   if (sharded_) {
     run_sharded();
+    finish_timeseries();
+    publish_run_stats();
+    return;
+  }
+  prepare();
+  if (ts_ == nullptr) {
+    sim_->run();
   } else {
-    prepare();
-    if (ts_ == nullptr) {
-      sim_->run();
-    } else {
-      // Grid-driven execution: run strictly up to each sample point, record
-      // the row, repeat. The loop's final row lands on the first grid point
-      // strictly after the last event, so the delta columns' totals cover
-      // the whole run (check_obs.py reconciles them against the registry).
-      for (;;) {
-        sim_->run_before(ts_->next_sample_time());
-        sample_timeseries();
-        if (sim_->drained()) break;
-      }
+    // Grid-driven execution: run strictly up to each sample point, record
+    // the row, repeat. The loop's final row lands on the first grid point
+    // strictly after the last event, so the delta columns' totals cover
+    // the whole run (check_obs.py reconciles them against the registry).
+    for (;;) {
+      sim_->run_before(ts_->next_sample_time());
+      sample_timeseries();
+      if (sim_->drained()) break;
     }
   }
   finish_timeseries();

@@ -177,7 +177,8 @@ TEST(InconsistencyProperty, ZeroUpdatesMeansZeroInconsistency) {
   const auto log = random_log(updates, rng, 4);
   const auto lengths = request_inconsistency_lengths(log, timeline);
   EXPECT_TRUE(std::all_of(lengths.begin(), lengths.end(),
-                          [](double x) { return x == 0.0; }));
+                          [](double x) { return x == 0.0; }))
+      << "without updates no request can be stale";
   for (net::NodeId server : log.servers()) {
     const auto obs = log.for_server(server);
     EXPECT_TRUE(server_inconsistency_lengths(obs, timeline).empty());

@@ -1,5 +1,4 @@
-// Equivalence battery for the overlapped epoch pipeline and auto shard
-// selection.
+// Equivalence battery for the sharded driver and auto shard selection.
 //
 // 1. The sharded driver must be byte-identical to the retired lockstep
 //    reference driver, which ran every round to quiescence and then drained

@@ -80,7 +80,8 @@ std::vector<Key> take_all_keys(ShardMergeQueue& q) {
   for (std::size_t t = 0; t < q.lane_count(); ++t) {
     const std::size_t announced = q.incoming_count(t);
     const auto column = q.take_incoming(t);
-    EXPECT_EQ(column.size(), announced) << "target " << t;
+    EXPECT_EQ(column.size(), announced)
+        << "incoming_count() disagrees with take_incoming() for lane " << t;
     for (const auto& m : column) keys.push_back(key_of(m));
   }
   EXPECT_TRUE(holds_nothing(q));
