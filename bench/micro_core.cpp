@@ -163,8 +163,8 @@ BENCHMARK(BM_VisitBatch)->Name("visit_batch_100k")->Unit(benchmark::kMillisecond
 // 100k cross-lane messages through the epoch pipeline's staging protocol:
 // emit into 8 per-lane rows, flip the generations, and consume the 8 sorted
 // per-target columns — the exact per-round sequence the sharded driver runs
-// between epochs. Bounds the merge-queue cost
-// of pushing cross-lane traffic at thousands-of-servers scale.
+// between epochs. Bounds the merge-queue cost of pushing cross-lane traffic
+// at thousands-of-servers scale.
 void BM_ShardMergeDrain(benchmark::State& state) {
   constexpr std::size_t kLanes = 8;
   constexpr std::size_t kMessages = 100000;
