@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct System {
   UpdateMethod method;
   InfrastructureKind infra;
 };
+
+// gtest prints the parameter into the ctest name; print the name alone so
+// the test names do not depend on the struct's bytes (pointer included).
+void PrintTo(const System& s, std::ostream* os) { *os << s.name; }
 
 const System kSystems[] = {
     {"Ttl", UpdateMethod::kTtl, InfrastructureKind::kUnicast},

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,10 @@ struct System {
   UpdateMethod method;
   InfrastructureKind infra;
 };
+
+// gtest prints the parameter into the ctest name; print the name alone so
+// the test names do not depend on the struct's bytes (pointer included).
+void PrintTo(const System& s, std::ostream* os) { *os << s.name; }
 
 const System kSystems[] = {
     {"Ttl", UpdateMethod::kTtl, InfrastructureKind::kUnicast},

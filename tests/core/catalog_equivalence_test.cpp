@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,10 @@ struct MethodCase {
   UpdateMethod method;
   InfrastructureKind infra;
 };
+
+// gtest prints the parameter into the ctest name; print the name alone so
+// the test names do not depend on the struct's bytes (pointer included).
+void PrintTo(const MethodCase& m, std::ostream* os) { *os << m.name; }
 
 const MethodCase kMethods[] = {
     {"Ttl", UpdateMethod::kTtl, InfrastructureKind::kUnicast},

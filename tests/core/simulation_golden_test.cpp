@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 
 #include "core/batch_runner.hpp"
@@ -40,14 +41,18 @@ struct Golden {
 };
 
 // A golden row run over the faulty transport: loss 0.1, duplication 0.05
-// and jitter up to 0.02 s. Kept apart from Golden so the five systems'
-// parameter (and the test names gtest prints from it) stays as recorded.
+// and jitter up to 0.02 s.
 struct FaultyGolden {
   Golden pins;
   bool reliable;
   std::uint32_t flow_window;
   int shards;
 };
+
+// gtest prints the parameter into the ctest name; print the name alone so
+// the test names do not depend on the struct's bytes (pointer included).
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
+void PrintTo(const FaultyGolden& f, std::ostream* os) { *os << f.pins.name; }
 
 // Recorded 2026-08 from the reference build; %.17g round-trips doubles
 // exactly, so the comparisons below are bit-exact. events_processed was

@@ -2,6 +2,7 @@
 // (TEST_P over methods, infrastructures, TTLs, seeds).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/simulation.hpp"
@@ -146,10 +147,19 @@ INSTANTIATE_TEST_SUITE_P(TtlSweep, TtlLawProperty,
 // same seed reproduces them exactly, for every method.
 // ---------------------------------------------------------------------------
 
-class SeedProperty : public ::testing::TestWithParam<UpdateMethod> {};
+// The method, wrapped so gtest prints its name rather than the enum's raw
+// bytes into the ctest name. (A PrintTo for UpdateMethod itself would also
+// rename the AllCombos tests, which print their tuple element by element.)
+struct SeedCase {
+  UpdateMethod method;
+};
+
+void PrintTo(const SeedCase& c, std::ostream* os) { *os << to_string(c.method); }
+
+class SeedProperty : public ::testing::TestWithParam<SeedCase> {};
 
 TEST_P(SeedProperty, SameSeedReproducesDifferentSeedPerturbs) {
-  const auto method = GetParam();
+  const auto method = GetParam().method;
   core::ScenarioConfig sc;
   sc.server_count = 24;
   const auto scenario = core::build_scenario(sc);
@@ -173,11 +183,12 @@ TEST_P(SeedProperty, SameSeedReproducesDifferentSeedPerturbs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedProperty,
-                         ::testing::Values(UpdateMethod::kTtl, UpdateMethod::kPush,
-                                           UpdateMethod::kInvalidation,
-                                           UpdateMethod::kSelfAdaptive),
-                         [](const ::testing::TestParamInfo<UpdateMethod>& info) {
-                           return std::string(to_string(info.param));
+                         ::testing::Values(SeedCase{UpdateMethod::kTtl},
+                                           SeedCase{UpdateMethod::kPush},
+                                           SeedCase{UpdateMethod::kInvalidation},
+                                           SeedCase{UpdateMethod::kSelfAdaptive}),
+                         [](const ::testing::TestParamInfo<SeedCase>& info) {
+                           return std::string(to_string(info.param.method));
                          });
 
 // ---------------------------------------------------------------------------
