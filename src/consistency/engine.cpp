@@ -1813,14 +1813,17 @@ void UpdateEngine::give_up_fetch(ServerState& s) {
   // same observable outcome as a server crash mid-fetch. (No visit hooks:
   // the server stays blocked — invalid_known still ahead — so the pump
   // keeps firing, and the next pump visit re-triggers the fetch.)
+  fail_waiting_users(s);
+}
+
+void UpdateEngine::fail_waiting_users(ServerState& s) {
+  const sim::SimTime now = sim_of(s.id).now();
   for (const auto& w : s.waiting_users) {
-    cdn::UserObservation obs;
-    obs.request_time = w.request_time;
-    obs.serve_time = now;
-    obs.server = s.id;
-    obs.redirected = w.redirected;
-    obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(w.user->id).add(obs);
+    record_observation(w.user->id, {.request_time = w.request_time,
+                                    .serve_time = now,
+                                    .server = s.id,
+                                    .redirected = w.redirected,
+                                    .answered = false});
   }
   s.waiting_users.clear();
   s.pending_child_fetches.clear();
@@ -1889,18 +1892,7 @@ void UpdateEngine::fail_node(ServerState& s) {
     trace_.instant("fail", "churn", sim_->now(), s.id);
   }
   if (s.poll_timer) s.poll_timer->stop();
-  // Users caught waiting on a fetch see a failed request.
-  for (const auto& w : s.waiting_users) {
-    cdn::UserObservation obs;
-    obs.request_time = w.request_time;
-    obs.serve_time = sim_->now();
-    obs.server = s.id;
-    obs.redirected = w.redirected;
-    obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(w.user->id).add(obs);
-  }
-  s.waiting_users.clear();
-  s.pending_child_fetches.clear();
+  fail_waiting_users(s);
   s.fetch_in_flight = false;
 
   if (config_.churn.repair_enabled) {
@@ -2090,16 +2082,11 @@ void UpdateEngine::user_visit(UserState& u) {
   ServerState& s = *servers_[static_cast<std::size_t>(target)];
   if (s.departed || s.absent_at(sim_->now())) {
     ++counters_of(target).visits_unanswered;
-    cdn::UserObservation obs;
-    obs.request_time = obs.serve_time = sim_->now();
-    obs.server = target;
-    obs.version = 0;
-    obs.redirected = redirected;
-    obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
-    if (config_.record_poll_log) {
-      poll_log_.add({target, sim_->now(), 0, /*answered=*/false});
-    }
+    record_observation(u.id, {.request_time = sim_->now(),
+                              .serve_time = sim_->now(),
+                              .server = target,
+                              .redirected = redirected,
+                              .answered = false});
     return;
   }
   serve_user(s, u, sim_->now(), redirected);
@@ -2120,16 +2107,18 @@ void UpdateEngine::serve_user(ServerState& s, UserState& u, sim::SimTime request
 void UpdateEngine::deliver_to_user(ServerState& s, UserState& u,
                                    sim::SimTime request_time, sim::SimTime serve_time,
                                    bool redirected) {
-  cdn::UserObservation obs;
-  obs.request_time = request_time;
-  obs.serve_time = serve_time;
-  obs.server = s.id;
-  obs.version = version_of(s.id);
-  obs.redirected = redirected;
-  obs.answered = true;
-  if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
+  record_observation(u.id, {.request_time = request_time,
+                            .serve_time = serve_time,
+                            .server = s.id,
+                            .version = version_of(s.id),
+                            .redirected = redirected});
+}
+
+void UpdateEngine::record_observation(cdn::UserId user,
+                                      const cdn::UserObservation& obs) {
+  if (config_.record_user_logs) user_logs_->log(user).add(obs);
   if (config_.record_poll_log) {
-    poll_log_.add({s.id, serve_time, version_of(s.id), /*answered=*/true});
+    poll_log_.add({obs.server, obs.serve_time, obs.version, obs.answered});
   }
 }
 
@@ -2299,15 +2288,10 @@ void UpdateEngine::pump_visit(ServerState& s) {
   ++counters_of(s.id).visits;
   if (s.departed || s.absent_at(now)) {
     ++counters_of(s.id).visits_unanswered;
-    if (config_.record_user_logs) {
-      cdn::UserObservation obs;
-      obs.request_time = obs.serve_time = now;
-      obs.server = s.id;
-      obs.version = 0;
-      obs.redirected = false;
-      obs.answered = false;
-      user_logs_->log(u.id).add(obs);
-    }
+    record_observation(u.id, {.request_time = now,
+                              .serve_time = now,
+                              .server = s.id,
+                              .answered = false});
   } else {
     serve_user(s, u, now, false);
   }

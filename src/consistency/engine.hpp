@@ -543,6 +543,9 @@ class UpdateEngine {
   void issue_fetch_request(ServerState& s);
   void arm_fetch_guard(ServerState& s, int attempt);
   void give_up_fetch(ServerState& s);
+  /// Users waiting on a fetch that will not complete (given up, or the
+  /// server crashed) see a failed request; clears the fetch's waiters.
+  void fail_waiting_users(ServerState& s);
   void switch_to_invalidation_mode(ServerState& s);
   void switch_to_ttl_mode(ServerState& s);
   void rate_adapt_tick(ServerState& s);
@@ -581,6 +584,11 @@ class UpdateEngine {
                   bool redirected);
   void deliver_to_user(ServerState& s, UserState& u, sim::SimTime request_time,
                        sim::SimTime serve_time, bool redirected);
+  /// Records one observation in the user's log and, as a crawler polling the
+  /// server would see it, in the poll log (the row's time is the serve
+  /// time). Every observation not made by the bulk visit walk goes through
+  /// here; materialize_user_logs() expands the walk's records the same way.
+  void record_observation(cdn::UserId user, const cdn::UserObservation& obs);
 
   // users — batched path (trace::VisitSchedule). A server's pending visits
   // are walked in bulk whenever its user-visible state is about to change

@@ -2,6 +2,10 @@
 // split must satisfy exact conservation laws derivable from the protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "engine_test_util.hpp"
 
 namespace cdnsim::consistency {
@@ -10,7 +14,42 @@ namespace {
 using testutil::base_config;
 using testutil::regular_trace;
 using testutil::run;
+using testutil::short_game;
 using testutil::small_scenario;
+
+// (server, time, version, answered): what a poll row records of one request.
+using PollRow = std::tuple<topology::NodeId, sim::SimTime, trace::Version, bool>;
+
+std::vector<PollRow> sorted_poll_rows(const trace::PollLog& log) {
+  std::vector<PollRow> rows;
+  for (const auto& o : log.observations()) {
+    rows.emplace_back(o.server, o.time, o.version, o.answered);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// The user logs seen as poll rows: a request is observed when it is served
+// (or fails), so its poll row carries the serve time.
+std::vector<PollRow> sorted_user_rows(const cdn::UserPopulationLog& logs) {
+  std::vector<PollRow> rows;
+  for (std::size_t u = 0; u < logs.user_count(); ++u) {
+    for (const auto& o : logs.log(static_cast<cdn::UserId>(u)).observations()) {
+      rows.emplace_back(o.server, o.serve_time, o.version, o.answered);
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// With both logs on, every user observation is also a poll row, including
+// requests that fail while waiting on a fetch.
+void expect_poll_log_matches_user_logs(const UpdateEngine& engine) {
+  const auto poll = sorted_poll_rows(engine.poll_log());
+  const auto user = sorted_user_rows(engine.user_logs());
+  EXPECT_EQ(poll.size(), user.size());
+  EXPECT_TRUE(poll == user) << "poll log and user logs hold different requests";
+}
 
 TEST(EngineAccountingTest, TtlEveryRequestHasExactlyOneResponse) {
   // Pure TTL: light messages are exactly the poll requests; every request
@@ -111,6 +150,38 @@ TEST(EngineAccountingTest, SelfAdaptiveSwitchNoticesAreLight) {
   // Light traffic exists and includes non-poll messages: update responses
   // are far fewer than light messages (notices + switches + polls).
   EXPECT_GT(ts.light_messages, ts.update_messages);
+}
+
+TEST(EngineAccountingTest, PollLogHoldsRequestsFailedByFetchGiveUps) {
+  const auto scenario = small_scenario(20);
+  const auto updates = short_game();
+  auto cfg = base_config(UpdateMethod::kInvalidation);
+  cfg.fault.enabled = true;
+  cfg.fault.loss_probability = 0.3;
+  cfg.reliable.enabled = true;
+  cfg.reliable.max_retries = 0;
+  cfg.record_poll_log = true;
+  const auto r = run(*scenario.nodes, updates, cfg);
+  auto metrics = r->engine->metrics();  // counter() is non-const (registers)
+  ASSERT_GT(metrics.counter("reliable.give_ups").value, 0u)
+      << "no fetch was given up";
+  expect_poll_log_matches_user_logs(*r->engine);
+}
+
+TEST(EngineAccountingTest, PollLogHoldsRequestsFailedByCrashes) {
+  const auto scenario = small_scenario(20);
+  const auto updates = short_game();
+  auto cfg = base_config(UpdateMethod::kInvalidation);
+  cfg.churn.failures_per_hour = 600.0;
+  cfg.churn.downtime_mean_s = 30.0;
+  // Without reliable delivery a lost fetch wedges its server until the
+  // server crashes, so crashes catch users waiting on fetches.
+  cfg.fault.enabled = true;
+  cfg.fault.loss_probability = 0.1;
+  cfg.record_poll_log = true;
+  const auto r = run(*scenario.nodes, updates, cfg);
+  ASSERT_GT(r->engine->failures_injected(), 0u);
+  expect_poll_log_matches_user_logs(*r->engine);
 }
 
 }  // namespace
