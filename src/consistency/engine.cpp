@@ -121,7 +121,6 @@ int resolved_shard_count(const EngineConfig& config, std::size_t server_count,
 
 struct UpdateEngine::UserState {
   cdn::UserId id = 0;
-  net::GeoPoint location;
   NodeId home_server = 0;
   // Sentinel -2: no previous server (kProviderNode is -1).
   NodeId last_server = -2;
@@ -268,8 +267,7 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   // Resolve the execution mode before anything observes it (bind_profiler
   // keeps event scopes off worker threads for sharded engines).
   visit_batching_ = config_.visit_batching &&
-                    config_.user_attachment == UserAttachment::kPinnedLocal &&
-                    !config_.record_poll_log;
+                    config_.user_attachment == UserAttachment::kPinnedLocal;
   int resolved_shards = resolved_shard_count(config_, nodes.server_count());
   // A shared provider uplink is a constructor argument, invisible to the
   // config-level auto resolution: degrade auto to classic here (an explicit
@@ -289,7 +287,9 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
                    "shard workers must be >= 0 (0 = auto)");
     CDNSIM_EXPECTS(visit_batching_,
                    "sharding requires batched visits (pinned attachment, "
-                   "no poll log, visit_batching on)");
+                   "visit_batching on)");
+    CDNSIM_EXPECTS(!config_.record_poll_log,
+                   "sharding does not support a poll log");
     CDNSIM_EXPECTS(!config_.record_trace_events,
                    "sharding does not support trace-event recording");
     CDNSIM_EXPECTS(config_.churn.failures_per_hour <= 0,
@@ -748,8 +748,28 @@ void UpdateEngine::fold_lane_stats() {
   if (sharded_) meter_.rebuild_totals_from_senders();
 }
 
+// Expands the bulk walk's run-length records into log rows in one pass.
+//  * User rows merge by request time with the rows a user already holds
+//    (pump visits, waiting users served or abandoned). Blocked servers run
+//    in pump mode, so a direct row and a walked row never share a request
+//    time: per-user row order stays exactly the per-visit path's.
+//  * Poll rows join the rows written during the run, and a stable sort by
+//    (time, server) restores the per-visit path's log: it wrote each row
+//    when it happened, and its simultaneous visits fired in user-id order.
 void UpdateEngine::materialize_user_logs() {
-  if (!config_.record_user_logs || !visit_batching_) return;
+  const bool user_rows = visit_plan_ && config_.record_user_logs;
+  const bool poll_rows = visit_plan_ && config_.record_poll_log;
+  if (!user_rows && !poll_rows) return;
+  std::vector<trace::Observation> polls;
+  if (poll_rows) {
+    std::size_t count = poll_log_.size();
+    for (const auto& s : servers_) {
+      for (const auto& r : s->visit_log_runs) count += r.end - r.begin;
+    }
+    const std::vector<trace::Observation>& direct = poll_log_.observations();
+    polls.reserve(count);
+    polls.insert(polls.end(), direct.begin(), direct.end());
+  }
   const std::size_t ups = static_cast<std::size_t>(config_.users_per_server);
   // Scratch reused across servers: only one server's users are live at a
   // time, so the merge's write working set stays ups-sized and cache-hot.
@@ -765,16 +785,14 @@ void UpdateEngine::materialize_user_logs() {
     const std::uint32_t base =
         static_cast<std::uint32_t>(static_cast<std::size_t>(s.id) * ups);
     std::fill(counts.begin(), counts.end(), 0u);
-    for (const auto& r : s.visit_log_runs) {
-      for (std::uint32_t j = r.begin; j < r.end; ++j) {
-        ++counts[plan.users[j] - base];
+    if (user_rows) {
+      for (const auto& r : s.visit_log_runs) {
+        for (std::uint32_t j = r.begin; j < r.end; ++j) {
+          ++counts[plan.users[j] - base];
+        }
       }
     }
-    // Users may already hold rows added directly (pump visits, waiting
-    // users served or abandoned): move those out and merge by request
-    // time. Blocked servers run in pump mode, so a direct row and a run
-    // row never share a request time — per-user row order stays exactly
-    // the strictly-increasing sequence the per-visit path produced.
+    // Move each user's direct rows out, to merge them back in below.
     for (std::size_t k = 0; k < ups; ++k) {
       logs[k] = &user_logs_->log(static_cast<cdn::UserId>(base + k));
       if (counts[k] == 0) continue;  // direct rows (if any) stay as-is
@@ -784,13 +802,14 @@ void UpdateEngine::materialize_user_logs() {
     }
     cdn::UserObservation obs;
     obs.server = s.id;
-    obs.redirected = false;
     for (const auto& r : s.visit_log_runs) {
       obs.version = r.version;
       obs.answered = r.answered;
       for (std::uint32_t j = r.begin; j < r.end; ++j) {
-        const std::size_t k = plan.users[j] - base;
         const sim::SimTime t = plan.times[j];
+        if (poll_rows) polls.push_back({s.id, t, r.version, r.answered});
+        if (!user_rows) continue;
+        const std::size_t k = plan.users[j] - base;
         std::vector<cdn::UserObservation>& pts = points[k];
         std::size_t& pi = cursor[k];
         while (pi < pts.size() && pts[pi].request_time < t) {
@@ -809,10 +828,17 @@ void UpdateEngine::materialize_user_logs() {
     s.visit_log_runs.clear();
     s.visit_log_runs.shrink_to_fit();
   }
+  if (poll_rows) {
+    std::stable_sort(polls.begin(), polls.end(), [](const auto& a, const auto& b) {
+      return a.time != b.time ? a.time < b.time : a.server < b.server;
+    });
+    poll_log_ = trace::PollLog(std::move(polls));
+  }
 }
 
 void UpdateEngine::publish_run_stats() {
   materialize_user_logs();
+  visit_plan_.reset();  // the run is over; the logs hold all it recorded
   fold_lane_stats();
 
   if (!sharded_) {
@@ -1817,13 +1843,8 @@ void UpdateEngine::give_up_fetch(ServerState& s) {
 }
 
 void UpdateEngine::fail_waiting_users(ServerState& s) {
-  const sim::SimTime now = sim_of(s.id).now();
   for (const auto& w : s.waiting_users) {
-    record_observation(w.user->id, {.request_time = w.request_time,
-                                    .serve_time = now,
-                                    .server = s.id,
-                                    .redirected = w.redirected,
-                                    .answered = false});
+    record_observation(s, *w.user, w.request_time, w.redirected, false);
   }
   s.waiting_users.clear();
   s.pending_child_fetches.clear();
@@ -1844,13 +1865,11 @@ void UpdateEngine::on_fetch_response(ServerState& s, Version v) {
     s.sa_in_invalidation_mode = false;
     if (s.poll_timer) s.poll_timer->start_after(config_.method.server_ttl_s);
   }
-  const sim::SimTime now = sim_of(s.id).now();
   // Serve users that were waiting on this fetch.
-  auto waiting = std::move(s.waiting_users);
-  s.waiting_users.clear();
-  for (const auto& w : waiting) {
-    deliver_to_user(s, *w.user, w.request_time, now, w.redirected);
+  for (const auto& w : s.waiting_users) {
+    record_observation(s, *w.user, w.request_time, w.redirected, true);
   }
+  s.waiting_users.clear();
   // Answer children whose fetches were queued behind ours.
   auto pending = std::move(s.pending_child_fetches);
   s.pending_child_fetches.clear();
@@ -2028,15 +2047,17 @@ void UpdateEngine::start_users() {
     auto u = std::make_unique<UserState>();
     u->id = static_cast<cdn::UserId>(i);
     if (dns_mode) {
-      u->location = dns_placements[i].location;
-      u->home_server = 0;  // unused; resolution happens per visit
-      const cdn::UserId registered = dns_->register_user(u->location);
+      // No home server: resolution happens per visit.
+      const cdn::UserId registered =
+          dns_->register_user(dns_placements[i].location);
       CDNSIM_EXPECTS(registered == u->id, "DNS user ids must match engine ids");
     } else {
       u->home_server = static_cast<NodeId>(i / config_.users_per_server);
-      u->location = nodes_->location(u->home_server);
     }
     if (!visit_batching_) {
+      // kSwitchEveryVisit and kDnsCache visits draw RNGs (server choice, DNS
+      // resolution) in event order; pinned users get here only as the
+      // visit_batching = false reference of the equivalence tests.
       UserState* up = u.get();
       u->visit_timer = std::make_unique<sim::PeriodicTimer>(
           *sim_, config_.user_poll_period_s, [this, up] { user_visit(*up); },
@@ -2076,47 +2097,40 @@ void UpdateEngine::user_visit(UserState& u) {
   } else if (config_.user_attachment == UserAttachment::kDnsCache) {
     target = dns_->resolve(u.id, sim_->now()).server;
   }
-  ++counters_of(target).visits;
   const bool redirected = u.last_server != -2 && target != u.last_server;
   u.last_server = target;
-  ServerState& s = *servers_[static_cast<std::size_t>(target)];
-  if (s.departed || s.absent_at(sim_->now())) {
-    ++counters_of(target).visits_unanswered;
-    record_observation(u.id, {.request_time = sim_->now(),
-                              .serve_time = sim_->now(),
-                              .server = target,
-                              .redirected = redirected,
-                              .answered = false});
-    return;
-  }
-  serve_user(s, u, sim_->now(), redirected);
+  serve_user(*servers_[static_cast<std::size_t>(target)], u, redirected);
 }
 
-void UpdateEngine::serve_user(ServerState& s, UserState& u, sim::SimTime request_time,
-                              bool redirected) {
+void UpdateEngine::serve_user(ServerState& s, UserState& u, bool redirected) {
+  const sim::SimTime now = sim_of(s.id).now();
+  ++counters_of(s.id).visits;
+  if (s.departed || s.absent_at(now)) {
+    ++counters_of(s.id).visits_unanswered;
+    record_observation(s, u, now, redirected, false);
+    return;
+  }
   if (s.method == UpdateMethod::kRateAdaptive) ++s.visits_in_window;
   if (s.invalidation_active() && s.invalid_known > version_of(s.id)) {
     // Content is invalid: fetch before serving (Invalidation semantics).
-    s.waiting_users.push_back({&u, request_time, redirected});
+    s.waiting_users.push_back({&u, now, redirected});
     if (!s.fetch_in_flight) begin_fetch(s);
     return;
   }
-  deliver_to_user(s, u, request_time, sim_of(s.id).now(), redirected);
+  record_observation(s, u, now, redirected, true);
 }
 
-void UpdateEngine::deliver_to_user(ServerState& s, UserState& u,
-                                   sim::SimTime request_time, sim::SimTime serve_time,
-                                   bool redirected) {
-  record_observation(u.id, {.request_time = request_time,
-                            .serve_time = serve_time,
-                            .server = s.id,
-                            .version = version_of(s.id),
-                            .redirected = redirected});
-}
-
-void UpdateEngine::record_observation(cdn::UserId user,
-                                      const cdn::UserObservation& obs) {
-  if (config_.record_user_logs) user_logs_->log(user).add(obs);
+void UpdateEngine::record_observation(const ServerState& s, const UserState& u,
+                                      sim::SimTime request_time,
+                                      bool redirected, bool answered) {
+  const cdn::UserObservation obs{
+      .request_time = request_time,
+      .serve_time = sim_of(s.id).now(),
+      .server = s.id,
+      .version = answered ? version_of(s.id) : 0,
+      .redirected = redirected,
+      .answered = answered};
+  if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
   if (config_.record_poll_log) {
     poll_log_.add({obs.server, obs.serve_time, obs.version, obs.answered});
   }
@@ -2161,7 +2175,7 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
   CDNSIM_EXPECTS(!visit_pump_needed(s),
                  "bulk visit walk while the server is blocked");
   const bool rate_adaptive = s.method == UpdateMethod::kRateAdaptive;
-  const bool record_logs = config_.record_user_logs;
+  const bool record_logs = config_.record_user_logs || config_.record_poll_log;
   LaneCounters& c = counters_of(s.id);
   // The server's user-visible state cannot change inside one walk — every
   // caller flushes the backlog *before* mutating — so the branch structure
@@ -2277,7 +2291,6 @@ void UpdateEngine::pump_visit(ServerState& s) {
   const trace::VisitSchedule::PerServer& plan =
       visit_plan_->servers[static_cast<std::size_t>(s.id)];
   CDNSIM_EXPECTS(s.visit_cursor < plan.times.size(), "pump past the schedule");
-  const sim::SimTime now = sim_of(s.id).now();
   // Pinned attachment: batched visits never redirect, so last_server (a
   // legacy-path concern) is left untouched.
   UserState& u = *users_[plan.users[s.visit_cursor]];
@@ -2285,16 +2298,7 @@ void UpdateEngine::pump_visit(ServerState& s) {
   s.next_visit_time = s.visit_cursor < plan.times.size()
                           ? plan.times[s.visit_cursor]
                           : std::numeric_limits<sim::SimTime>::infinity();
-  ++counters_of(s.id).visits;
-  if (s.departed || s.absent_at(now)) {
-    ++counters_of(s.id).visits_unanswered;
-    record_observation(u.id, {.request_time = now,
-                              .serve_time = now,
-                              .server = s.id,
-                              .answered = false});
-  } else {
-    serve_user(s, u, now, false);
-  }
+  serve_user(s, u, false);
   schedule_visit_event(s);
 }
 

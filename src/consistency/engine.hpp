@@ -27,9 +27,11 @@
 //  * batched visits (default for the pinned attachment): user arrivals are
 //    precomputed into per-server SoA arrays (trace::VisitSchedule) and
 //    walked in bulk — one batch event per server per epoch plus a catch-up
-//    at every server state change — instead of one event per visit. The
-//    walk is observationally identical to the per-visit path; only the
-//    sim.event* gauges (event counts) change.
+//    at every server state change — instead of one event per visit; logged
+//    rows are expanded after the run. The walk is observationally identical
+//    to the per-visit path; only the sim.event* gauges (event counts)
+//    change. Per-visit timers remain for kSwitchEveryVisit and kDnsCache
+//    (their visits draw RNGs in event order) and visit_batching = false.
 //  * intra-run sharding (shard.shards > 0): servers are partitioned into
 //    contiguous lanes, each lane an independent Simulator driven by a
 //    ThreadPool worker; every network message crosses lanes through an
@@ -112,11 +114,12 @@ struct EngineConfig {
 
   /// Batched user-visit processing: precompute per-server arrival arrays
   /// and walk them in bulk instead of one simulator event per visit.
-  /// Effective only for kPinnedLocal without a poll log (other shapes fall
-  /// back to the per-visit path). Observationally identical to the legacy
-  /// path — same draws, same observations, same counters — except for the
-  /// sim.event* gauges, which count the (far fewer) events actually fired.
-  /// The equivalence is enforced by visit_batch_equivalence_test.
+  /// Effective for kPinnedLocal (the other attachments keep the per-visit
+  /// path). Observationally identical to the per-visit path — same draws,
+  /// same user and poll logs, same counters — except for the sim.event*
+  /// gauges, which count the (far fewer) events actually fired. `false`
+  /// exists only as the reference visit_batch_equivalence_test holds the
+  /// batched walk to.
   bool visit_batching = true;
   /// Batch flush cadence (s). Purely an execution knob: results are
   /// flushed at every server state change and at the horizon regardless,
@@ -228,8 +231,9 @@ struct EngineConfig {
 
   std::uint64_t seed = 1;
 
-  /// Record every user observation into a per-server PollLog (needed by the
-  /// Section 3 analysis pipeline; off by default to save memory).
+  /// Record every user observation into the PollLog, in time order with
+  /// equal times by server id (needed by the Section 3 analysis pipeline;
+  /// off by default to save memory). Sharded engines reject it.
   bool record_poll_log = false;
   /// Record per-user observation logs (needed for user-perspective metrics;
   /// disable for large measurement sweeps that only use the poll log).
@@ -543,8 +547,7 @@ class UpdateEngine {
   void issue_fetch_request(ServerState& s);
   void arm_fetch_guard(ServerState& s, int attempt);
   void give_up_fetch(ServerState& s);
-  /// Users waiting on a fetch that will not complete (given up, or the
-  /// server crashed) see a failed request; clears the fetch's waiters.
+  /// Fails the requests of users waiting on a fetch that will not complete.
   void fail_waiting_users(ServerState& s);
   void switch_to_invalidation_mode(ServerState& s);
   void switch_to_ttl_mode(ServerState& s);
@@ -565,9 +568,8 @@ class UpdateEngine {
   // Refreshes config_.shard_progress from the quiesced lanes (driver
   // thread, relaxed stores; host-only heartbeat data).
   void update_shard_progress();
-  // Expands the bulk walk's run-length visit records into per-user
-  // UserObservation rows (merged by request time with directly-added
-  // rows); runs once from publish_run_stats(), no-op in legacy mode.
+  // Expands the bulk walk's run-length visit records into user-log and
+  // poll-log rows; runs once from publish_run_stats(), no-op in legacy mode.
   void materialize_user_logs();
 
   // churn
@@ -580,15 +582,15 @@ class UpdateEngine {
   // users — legacy per-visit path
   void start_users();
   void user_visit(UserState& u);
-  void serve_user(ServerState& s, UserState& u, sim::SimTime request_time,
-                  bool redirected);
-  void deliver_to_user(ServerState& s, UserState& u, sim::SimTime request_time,
-                       sim::SimTime serve_time, bool redirected);
-  /// Records one observation in the user's log and, as a crawler polling the
-  /// server would see it, in the poll log (the row's time is the serve
-  /// time). Every observation not made by the bulk visit walk goes through
-  /// here; materialize_user_logs() expands the walk's records the same way.
-  void record_observation(cdn::UserId user, const cdn::UserObservation& obs);
+  /// One visit of `u` to `s` now (the per-visit path and the pump): counted,
+  /// then unanswered, queued behind a fetch, or served.
+  void serve_user(ServerState& s, UserState& u, bool redirected);
+  /// Writes the user log and poll log rows of `u`'s request to `s`, made at
+  /// `request_time` and ending now: served with the server's version, or
+  /// failed. The bulk walk's rows come from materialize_user_logs().
+  void record_observation(const ServerState& s, const UserState& u,
+                          sim::SimTime request_time, bool redirected,
+                          bool answered);
 
   // users — batched path (trace::VisitSchedule). A server's pending visits
   // are walked in bulk whenever its user-visible state is about to change

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/traffic_meter.hpp"  // NodeId
@@ -26,6 +27,11 @@ struct Observation {
 
 class PollLog {
  public:
+  PollLog() = default;
+  /// Adopts rows that are already in log order.
+  explicit PollLog(std::vector<Observation> observations)
+      : observations_(std::move(observations)) {}
+
   void add(const Observation& obs) { observations_.push_back(obs); }
   void reserve(std::size_t n) { observations_.reserve(n); }
 
@@ -33,9 +39,11 @@ class PollLog {
   std::size_t size() const { return observations_.size(); }
   bool empty() const { return observations_.empty(); }
 
-  /// Observations of one server, in log order (which is time order for
-  /// simulator-produced logs; analysis::extract_absences checks it). One
-  /// full scan and copy per call: group by server once for many servers.
+  /// Observations of one server, in log order. A simulator-produced log is
+  /// in time order, equal times by server id (analysis::extract_absences
+  /// checks the order), whether its rows came from per-visit events or the
+  /// batched walk. One full scan and copy per call: group by server once
+  /// for many servers.
   std::vector<Observation> for_server(net::NodeId server) const;
 
   /// Distinct server ids present in the log.

@@ -7,21 +7,29 @@
 //    histograms. The only sanctioned difference is the sim.* gauge family,
 //    which reports the (far fewer) events the batched run actually fires.
 //    Checked across all five paper systems, with reliable delivery off and
-//    on, under a nonzero fault plan.
+//    on, under a nonzero fault plan. With a poll log on, the batched run
+//    must rebuild the per-visit path's poll log row for row, including
+//    under server absences and in the Section 3 study's own shape.
 // 2. A sharded run must be a pure function of the simulated history: the
 //    full metrics JSON — sim.* gauges included — and every result vector
 //    must be byte-identical across shard counts {1, 2, 8} and across
 //    worker counts for a fixed shard count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "consistency/engine.hpp"
 #include "consistency/engine_test_util.hpp"
+#include "trace/absence.hpp"
 #include "util/cdf.hpp"
+#include "util/error.hpp"
 
 namespace cdnsim::consistency {
 namespace {
@@ -118,6 +126,32 @@ void expect_identical(const Fingerprint& a, const Fingerprint& b,
   }
 }
 
+// Poll-log rows with the time as its bit pattern, so equality is bitwise.
+using PollRowBits =
+    std::tuple<topology::NodeId, std::uint64_t, trace::Version, bool>;
+
+std::vector<PollRowBits> poll_rows(const UpdateEngine& engine) {
+  std::vector<PollRowBits> rows;
+  for (const auto& o : engine.poll_log().observations()) {
+    rows.emplace_back(o.server, std::bit_cast<std::uint64_t>(o.time),
+                      o.version, o.answered);
+  }
+  return rows;
+}
+
+// A few absences per server over the run, so the walk records unanswered
+// runs and the poll log holds answered=false rows.
+std::vector<trace::AbsenceSchedule> random_absences(std::size_t servers) {
+  trace::AbsenceConfig config;
+  config.absences_per_hour = 4.0;
+  util::Rng rng(11);
+  std::vector<trace::AbsenceSchedule> out;
+  for (std::size_t i = 0; i < servers; ++i) {
+    out.push_back(trace::generate_absences(config, 3000.0, rng));
+  }
+  return out;
+}
+
 class VisitBatchEquivalenceTest
     : public ::testing::TestWithParam<System> {};
 
@@ -141,6 +175,39 @@ TEST_P(VisitBatchEquivalenceTest, BatchedMatchesLegacyPerVisitPath) {
                      fingerprint(*legacy_run->engine),
                      /*including_sim_gauges=*/false);
     // Batching must actually batch: fewer events than one per visit.
+    EXPECT_LT(batched_run->engine->events_processed(),
+              legacy_run->engine->events_processed());
+  }
+}
+
+TEST_P(VisitBatchEquivalenceTest, PollLogMatchesLegacyPerVisitPath) {
+  const System& sys = GetParam();
+  const auto scenario = small_scenario();
+  const auto updates = short_game();
+  const std::size_t servers = scenario.nodes->server_count();
+  for (const bool faulty : {false, true}) {
+    EngineConfig batched = base_config(sys.method, sys.infra);
+    batched.record_poll_log = true;
+    if (faulty) {
+      batched.fault = nonzero_fault_plan();
+      batched.reliable.enabled = true;
+    }
+    EngineConfig legacy = batched;
+    legacy.visit_batching = false;
+
+    const auto batched_run =
+        run(*scenario.nodes, updates, batched, random_absences(servers));
+    const auto legacy_run =
+        run(*scenario.nodes, updates, legacy, random_absences(servers));
+    SCOPED_TRACE(std::string(sys.name) + (faulty ? " faulty" : " clean"));
+    const auto rows = poll_rows(*batched_run->engine);
+    EXPECT_EQ(rows, poll_rows(*legacy_run->engine));
+    EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                            [](const auto& r) { return !std::get<3>(r); }))
+        << "the absences left no unanswered poll row";
+    expect_identical(fingerprint(*batched_run->engine),
+                     fingerprint(*legacy_run->engine),
+                     /*including_sim_gauges=*/false);
     EXPECT_LT(batched_run->engine->events_processed(),
               legacy_run->engine->events_processed());
   }
@@ -190,6 +257,56 @@ TEST_P(VisitBatchEquivalenceTest, ShardCountDoesNotChangeResults) {
 INSTANTIATE_TEST_SUITE_P(FiveSystems, VisitBatchEquivalenceTest,
                          ::testing::ValuesIn(kSystems),
                          [](const auto& info) { return info.param.name; });
+
+// The Section 3 study's engine shape: TTL 60 s, one observer per server
+// polling every 10 s, a poll log and no user logs. A zero start window makes
+// every observer poll at the same instants, so the log's order among equal
+// times (server id, as the per-visit path's timers fired) is checked too.
+TEST(VisitBatchPollLogTest, MeasurementStudyShapeMatchesLegacyPerVisitPath) {
+  const auto scenario = small_scenario();
+  const auto updates = short_game();
+  const std::size_t servers = scenario.nodes->server_count();
+  for (const double start_window_s : {10.0, 0.0}) {
+    EngineConfig batched = base_config(UpdateMethod::kTtl);
+    batched.method.server_ttl_s = 60.0;
+    batched.users_per_server = 1;
+    batched.user_poll_period_s = 10.0;
+    batched.user_start_window_s = start_window_s;
+    batched.tail_s = 60.0;
+    batched.record_poll_log = true;
+    batched.record_user_logs = false;
+    EngineConfig legacy = batched;
+    legacy.visit_batching = false;
+    const auto batched_run =
+        run(*scenario.nodes, updates, batched, random_absences(servers));
+    const auto legacy_run =
+        run(*scenario.nodes, updates, legacy, random_absences(servers));
+    SCOPED_TRACE("start window " + std::to_string(start_window_s));
+    EXPECT_EQ(poll_rows(*batched_run->engine), poll_rows(*legacy_run->engine));
+    EXPECT_EQ(batched_run->engine->server_avg_inconsistency(),
+              legacy_run->engine->server_avg_inconsistency());
+    EXPECT_EQ(strip_sim_gauges(batched_run->engine->metrics().to_json()),
+              strip_sim_gauges(legacy_run->engine->metrics().to_json()));
+    EXPECT_LT(batched_run->engine->events_processed(),
+              legacy_run->engine->events_processed());
+  }
+}
+
+// Poll rows written during the run come from every lane into one log, so
+// sharding rejects a poll log: auto resolves to classic, and an explicit
+// lane count fails construction.
+TEST(VisitBatchShardingTest, PollLogRejectsExplicitSharding) {
+  const auto scenario = small_scenario();
+  const auto updates = short_game();
+  EngineConfig ec = base_config(UpdateMethod::kTtl);
+  ec.record_poll_log = true;
+  ec.shard.shards = EngineConfig::ShardConfig::kAuto;
+  EXPECT_EQ(resolved_shard_count(ec, scenario.nodes->server_count(), 4), 0);
+  ec.shard.shards = 2;
+  sim::Simulator simulator;
+  EXPECT_THROW(UpdateEngine(simulator, *scenario.nodes, updates, ec),
+               cdnsim::PreconditionError);
+}
 
 TEST(VisitBatchShardingTest, WorkerCountDoesNotChangeResults) {
   const auto scenario = small_scenario();
