@@ -16,8 +16,8 @@
 # with scripts/obs_diff.py (same schema, different values), then the fault
 # stage: ext_fault_tolerance cmp'd across --jobs 1/8, and again with
 # duplication and delay jitter across --shards 1/auto x --jobs 1/8, then
-# the study stage: the Section 3 study benches (fig09_isp, fig10_absence)
-# cmp'd across --jobs 1/4. Run from the repository root.
+# the study stage: every Section 3 study bench (fig03-fig12) cmp'd across
+# --jobs 1/4. Run from the repository root.
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
@@ -384,12 +384,17 @@ echo
 echo "== tier-1: measurement study (determinism across --jobs) =="
 # The study runs its days on --jobs worker threads and merges them in day
 # order, so the analysis output (stdout) and the merged engine metrics must
-# not depend on the thread count. fig10 --small fails one shape check at
-# that scale (exit 1); only a crash (exit >= 2) fails the stage.
-cmake --build build -j --target fig09_isp fig10_absence
+# not depend on the thread count. fig04 also keeps the DNS attachment's
+# per-visit path under the check. fig10 and fig11_12 --small each fail one
+# shape check at that scale (exit 1); only a crash (exit >= 2) fails the
+# stage.
+study_benches=(fig03_server_inconsistency fig04_user_perspective
+  fig05_06_ttl_inference fig07_provider_inconsistency fig08_distance
+  fig09_isp fig10_absence fig11_12_tree_existence)
+cmake --build build -j --target "${study_benches[@]}"
 study_dir="${tmp_dir}/study"
 mkdir -p "${study_dir}"
-for bench in fig09_isp fig10_absence; do
+for bench in "${study_benches[@]}"; do
   for jobs in 1 4; do
     rc=0
     ./build/bench/"${bench}" --small --jobs "${jobs}" \
@@ -399,14 +404,16 @@ for bench in fig09_isp fig10_absence; do
       echo "${bench} --jobs ${jobs} failed (exit ${rc})" >&2
       exit 1
     fi
-    # The "metrics: ... -> PATH" line names the per-run output file.
-    grep -v '^metrics: ' "${study_dir}/${bench}_out${jobs}.txt" \
+    # The "metrics: ... -> PATH" line names the per-run output file, and
+    # the "study: ... s wall" line times the run.
+    grep -v -e '^metrics: ' -e '^study: .* s wall$' \
+      "${study_dir}/${bench}_out${jobs}.txt" \
       > "${study_dir}/${bench}_stdout${jobs}.txt"
   done
   cmp "${study_dir}/${bench}_m1.jsonl" "${study_dir}/${bench}_m4.jsonl"
   cmp "${study_dir}/${bench}_stdout1.txt" "${study_dir}/${bench}_stdout4.txt"
 done
-echo "fig09/fig10 study metrics and stdout byte-identical for --jobs 1 vs 4"
+echo "fig03-fig12 study metrics and stdout byte-identical for --jobs 1 vs 4"
 
 echo
 echo "tier-1: OK"
