@@ -231,9 +231,9 @@ struct EngineConfig {
 
   std::uint64_t seed = 1;
 
-  /// Record every user observation into the PollLog, in time order with
-  /// equal times by server id (needed by the Section 3 analysis pipeline;
-  /// off by default to save memory). Sharded engines reject it.
+  /// Record every user observation into the PollLog, in time order (needed
+  /// by the Section 3 analysis pipeline; off by default to save memory).
+  /// Sharded engines reject it.
   bool record_poll_log = false;
   /// Record per-user observation logs (needed for user-perspective metrics;
   /// disable for large measurement sweeps that only use the poll log).

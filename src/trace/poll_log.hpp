@@ -40,10 +40,10 @@ class PollLog {
   bool empty() const { return observations_.empty(); }
 
   /// Observations of one server, in log order. A simulator-produced log is
-  /// in time order, equal times by server id (analysis::extract_absences
-  /// checks the order), whether its rows came from per-visit events or the
-  /// batched walk. One full scan and copy per call: group by server once
-  /// for many servers.
+  /// in time order whichever visit path wrote it (the batched walk's rows
+  /// are sorted in after the run; analysis::extract_absences checks the
+  /// order). One full scan and copy per call: group by server once for
+  /// many servers.
   std::vector<Observation> for_server(net::NodeId server) const;
 
   /// Distinct server ids present in the log.
