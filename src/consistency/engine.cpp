@@ -318,16 +318,6 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   provider_ = std::make_unique<cdn::Provider>(*updates_, config_.provider,
                                               rng_.fork(0x9807));
 
-  // Prime the latency model's pairwise propagation cache with the fixed
-  // node-site set: every message the engine sends travels between two of
-  // these points, so the hot path becomes a matrix read instead of a
-  // haversine. Site index = node id + 1 (provider kProviderNode = -1 -> 0).
-  std::vector<net::GeoPoint> sites;
-  sites.reserve(nodes.server_count() + 1);
-  sites.push_back(nodes.location(kProviderNode));
-  for (NodeId id : nodes.server_ids()) sites.push_back(nodes.location(id));
-  if (sites.size() <= net::LatencyModel::kMaxPrimedSites) latency_.prime(sites);
-
   // The injector draws from substream_seed(seed, kFaultStream) — stateless,
   // so constructing it here perturbs neither rng_ nor any fork above. The
   // sharded engine still builds it (brownout schedules come from plan());
@@ -933,24 +923,12 @@ const net::GeoPoint& UpdateEngine::location_of(NodeId node) const {
   return nodes_->location(node);
 }
 
-// Primed-site index of a node (see the prime() call in the constructor).
-static std::size_t site_index(NodeId node) {
-  return static_cast<std::size_t>(node + 1);
-}
-
 sim::SimTime UpdateEngine::draw_latency(NodeId from, NodeId to) {
-  util::Rng& rng = rng_of(from);
-  if (latency_.primed()) {
-    return latency_.one_way_between(site_index(from), site_index(to),
-                                    nodes_->crosses_isp(from, to), rng);
-  }
-  // Unprimed fallback (site set above kMaxPrimedSites): one_way()'s
-  // one-entry memo is not thread-safe, so sharded lanes take the uncached
-  // variant — identical bits and rng consumption.
-  return sharded_ ? latency_.one_way_uncached(location_of(from), location_of(to),
-                                              nodes_->crosses_isp(from, to), rng)
-                  : latency_.one_way(location_of(from), location_of(to),
-                                     nodes_->crosses_isp(from, to), rng);
+  // Site id = node id + 1 (the provider, kProviderNode = -1, is site 0).
+  const sim::SimTime propagation = lanes_[lane_index_of(from)].links.propagation(
+      latency_, static_cast<std::uint32_t>(from + 1), location_of(from),
+      static_cast<std::uint32_t>(to + 1), location_of(to));
+  return latency_.sample(propagation, nodes_->crosses_isp(from, to), rng_of(from));
 }
 
 // Deliveries to an absent server are deferred until it returns

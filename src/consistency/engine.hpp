@@ -21,7 +21,9 @@
 //
 // All transmissions pass through the sender's Uplink (serialization and
 // queueing — the scalability mechanism of Figs. 19-20) and the latency
-// model, and are accounted by the TrafficMeter.
+// model, and are accounted by the TrafficMeter. A link's propagation delay
+// is computed the first time a message uses it and kept in the sending
+// lane's net::LinkCache.
 //
 // Execution modes (DESIGN.md "Batched visits and intra-run sharding"):
 //  * batched visits (default for the pinned attachment): user arrivals are
@@ -399,12 +401,16 @@ class UpdateEngine {
   /// One execution context. A classic engine is lane 0 alone, whose `sim`
   /// is the external simulator; a sharded engine's lanes point into
   /// lane_sims_, one engine-owned Simulator each. Cache-line aligned:
-  /// counters and meters are written concurrently by different workers.
+  /// counters, meters and link caches are written concurrently by different
+  /// workers, each only by events on its own lane.
   struct alignas(64) Lane {
     sim::Simulator* sim = nullptr;  // not owned
     net::TrafficMeter meter;
     LaneCounters counters;
     obs::SpanBuffer spans;  // propagation-span applies (single-writer)
+    /// Propagation of every link this lane's senders have used (filled by
+    /// draw_latency on first use; single-writer).
+    net::LinkCache links;
   };
 
   /// Sums every lane's counters (exact integer adds, order-independent).

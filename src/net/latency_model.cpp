@@ -1,7 +1,6 @@
 #include "net/latency_model.hpp"
 
-#include <algorithm>
-#include <bit>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -9,7 +8,7 @@ namespace cdnsim::net {
 
 namespace {
 
-// splitmix64 finalizer: good avalanche for the double bit patterns.
+// splitmix64 finalizer: good avalanche for the packed site-id pairs.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -17,70 +16,23 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t point_hash(const GeoPoint& p) {
-  const auto lat = std::bit_cast<std::uint64_t>(p.lat_deg);
-  const auto lon = std::bit_cast<std::uint64_t>(p.lon_deg);
-  return mix64(lat ^ mix64(lon));
-}
-
-std::size_t tri_index(std::size_t i, std::size_t j) {  // requires i >= j
-  return i * (i + 1) / 2 + j;
-}
-
 }  // namespace
 
 LatencyModel::LatencyModel(LatencyConfig config) : config_(config) {
-  CDNSIM_EXPECTS(config_.signal_speed_km_per_s > 0, "signal speed must be positive");
-  CDNSIM_EXPECTS(config_.route_stretch >= 1.0, "route stretch must be >= 1");
-  CDNSIM_EXPECTS(config_.base_delay_s >= 0, "base delay must be non-negative");
-  CDNSIM_EXPECTS(config_.jitter_fraction >= 0, "jitter fraction must be non-negative");
-}
-
-void LatencyModel::prime(std::span<const GeoPoint> points) {
-  CDNSIM_EXPECTS(points.size() <= kMaxPrimedSites,
-                 "prime(): site set exceeds kMaxPrimedSites");
-  points_.assign(points.begin(), points.end());
-  pair_s_.clear();
-  table_.clear();
-  table_mask_ = 0;
-  memo_valid_ = false;  // hygiene; memoed values are path-independent anyway
-  if (points_.empty()) return;
-
-  const std::size_t n = points_.size();
-  pair_s_.resize(tri_index(n - 1, n - 1) + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      pair_s_[tri_index(i, j)] = live_propagation(points_[i], points_[j]);
-    }
-  }
-
-  std::size_t capacity = 16;
-  while (capacity < 2 * n) capacity <<= 1;
-  table_.assign(capacity, -1);
-  table_mask_ = capacity - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t pos = point_hash(points_[i]) & table_mask_;
-    for (;;) {
-      const std::int32_t existing = table_[pos];
-      if (existing < 0) {
-        table_[pos] = static_cast<std::int32_t>(i);
-        break;
-      }
-      // Duplicate sites keep the first index; any index yields the same row.
-      if (points_[static_cast<std::size_t>(existing)] == points_[i]) break;
-      pos = (pos + 1) & table_mask_;
-    }
-  }
-}
-
-std::ptrdiff_t LatencyModel::primed_index(const GeoPoint& p) const {
-  std::size_t pos = point_hash(p) & table_mask_;
-  for (;;) {
-    const std::int32_t idx = table_[pos];
-    if (idx < 0) return -1;
-    if (points_[static_cast<std::size_t>(idx)] == p) return idx;
-    pos = (pos + 1) & table_mask_;
-  }
+  // NaN fails every comparison below; the isfinite checks catch +inf, which
+  // would schedule messages that never arrive.
+  CDNSIM_EXPECTS(std::isfinite(config_.signal_speed_km_per_s) &&
+                     config_.signal_speed_km_per_s > 0,
+                 "signal_speed_km_per_s must be finite and positive");
+  CDNSIM_EXPECTS(std::isfinite(config_.route_stretch) && config_.route_stretch >= 1.0,
+                 "route_stretch must be finite and >= 1");
+  CDNSIM_EXPECTS(std::isfinite(config_.base_delay_s) && config_.base_delay_s >= 0,
+                 "base_delay_s must be finite and non-negative");
+  CDNSIM_EXPECTS(std::isfinite(config_.inter_isp_penalty_mean_s) &&
+                     config_.inter_isp_penalty_mean_s >= 0,
+                 "inter_isp_penalty_mean_s must be finite and non-negative");
+  CDNSIM_EXPECTS(std::isfinite(config_.jitter_fraction) && config_.jitter_fraction >= 0,
+                 "jitter_fraction must be finite and non-negative");
 }
 
 sim::SimTime LatencyModel::live_propagation(const GeoPoint& from,
@@ -89,39 +41,15 @@ sim::SimTime LatencyModel::live_propagation(const GeoPoint& from,
   return config_.base_delay_s + km / config_.signal_speed_km_per_s;
 }
 
-sim::SimTime LatencyModel::pair_at(std::size_t i, std::size_t j) const {
-  return i >= j ? pair_s_[tri_index(i, j)] : pair_s_[tri_index(j, i)];
-}
-
-sim::SimTime LatencyModel::propagation_uncached(const GeoPoint& from,
-                                                const GeoPoint& to) const {
-  if (!table_.empty()) {
-    const std::ptrdiff_t i = primed_index(from);
-    if (i >= 0) {
-      const std::ptrdiff_t j = primed_index(to);
-      if (j >= 0) {
-        return pair_at(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-      }
-    }
-  }
-  return live_propagation(from, to);
-}
-
 sim::SimTime LatencyModel::propagation(const GeoPoint& from,
                                        const GeoPoint& to) const {
   if (memo_valid_ && memo_from_ == from && memo_to_ == to) return memo_s_;
-  const sim::SimTime s = propagation_uncached(from, to);
+  const sim::SimTime s = live_propagation(from, to);
   memo_from_ = from;
   memo_to_ = to;
   memo_s_ = s;
   memo_valid_ = true;
   return s;
-}
-
-sim::SimTime LatencyModel::propagation_between(std::size_t i, std::size_t j) const {
-  CDNSIM_EXPECTS(i < points_.size() && j < points_.size(),
-                 "propagation_between(): index outside the primed site set");
-  return pair_at(i, j);
 }
 
 sim::SimTime LatencyModel::sample(sim::SimTime propagation_s, bool crosses_isp,
@@ -143,15 +71,45 @@ sim::SimTime LatencyModel::one_way(const GeoPoint& from, const GeoPoint& to,
   return sample(propagation(from, to), crosses_isp, rng);
 }
 
-sim::SimTime LatencyModel::one_way_between(std::size_t i, std::size_t j,
-                                           bool crosses_isp, util::Rng& rng) const {
-  return sample(propagation_between(i, j), crosses_isp, rng);
+LinkCache::LinkCache() : slots_(64, Entry{kEmpty, 0}) {}
+
+sim::SimTime LinkCache::propagation(const LatencyModel& model,
+                                    std::uint32_t site_a, const GeoPoint& a,
+                                    std::uint32_t site_b, const GeoPoint& b) {
+  const bool a_high = site_a >= site_b;
+  const std::uint64_t key =
+      a_high ? (std::uint64_t{site_a} << 32) | site_b
+             : (std::uint64_t{site_b} << 32) | site_a;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t pos = mix64(key) & mask;; pos = (pos + 1) & mask) {
+    const Entry& slot = slots_[pos];
+    // Empty is tested first, so a key equal to kEmpty can never read as a
+    // hit; the fill below rejects it.
+    if (slot.key == kEmpty) break;
+    if (slot.key == key) return slot.propagation_s;
+  }
+  CDNSIM_EXPECTS(key != kEmpty, "LinkCache: site id out of range");
+  // Higher site id first whatever the direction, so the stored bits never
+  // depend on which end of the link sent first.
+  const sim::SimTime s =
+      a_high ? model.live_propagation(a, b) : model.live_propagation(b, a);
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Entry> old(2 * slots_.size(), Entry{kEmpty, 0});
+    old.swap(slots_);
+    for (const Entry& e : old) {
+      if (e.key != kEmpty) place(e);
+    }
+  }
+  place({key, s});
+  ++size_;
+  return s;
 }
 
-sim::SimTime LatencyModel::one_way_uncached(const GeoPoint& from,
-                                            const GeoPoint& to, bool crosses_isp,
-                                            util::Rng& rng) const {
-  return sample(propagation_uncached(from, to), crosses_isp, rng);
+void LinkCache::place(Entry e) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t pos = mix64(e.key) & mask;
+  while (slots_[pos].key != kEmpty) pos = (pos + 1) & mask;
+  slots_[pos] = e;
 }
 
 }  // namespace cdnsim::net

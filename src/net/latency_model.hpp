@@ -7,28 +7,26 @@
 // finding that traffic crossing ISP boundaries competes for transit capacity
 // and arrives later than intra-ISP traffic.
 //
-// Pairwise propagation cache: a simulation prices millions of messages
-// between a *fixed* site set, so the trig-heavy haversine can be hoisted out
-// of the hot path. prime(points) precomputes the symmetric node-pair
-// propagation matrix (flat triangular array, O(n^2) doubles); afterwards
-//  * one_way()/propagation() look both endpoints up in a point->index hash
-//    and read the matrix, falling back to the live haversine for points
-//    outside the primed set;
-//  * one_way_between()/propagation_between() take primed indices directly —
-//    the engine's fast path, a single array read;
-//  * a one-entry memo short-circuits back-to-back queries for the same
-//    (from, to) pair — the common shape when a component prices several
-//    messages between the same endpoints in a row.
-// Cached entries are produced by the same arithmetic as the live path, so
-// priming can never change simulation output (enforced by latency_test).
-// The memo makes const queries non-reentrant across threads: do not share
-// one LatencyModel between concurrently running simulations (each engine
-// owns its own, so this never happens in-repo).
+// Two ways to price a message:
+//  * live_propagation() + sample() are pure: no mutable state, so any number
+//    of threads may share one model through them. The engine prices every
+//    message this way, through a LinkCache per execution lane.
+//  * propagation()/one_way() add a one-entry (from, to) memo for callers
+//    that price several messages between the same endpoints in a row (the
+//    measurement study, micro-benchmarks). The memo makes these const
+//    queries non-reentrant: do not call them on one model from several
+//    threads at once.
+//
+// LinkCache memoizes propagation per link. A simulation prices millions of
+// messages, but they only travel on O(n) links (provider <-> server,
+// parent <-> child, the supernode overlay, churn repairs), so each link's
+// haversine is computed once, the first time a message uses it. Entries are
+// produced by live_propagation() itself, so caching can never change
+// simulation output (enforced by latency_test).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "net/geo.hpp"
@@ -47,65 +45,75 @@ struct LatencyConfig {
 
 class LatencyModel {
  public:
+  /// Throws cdnsim::PreconditionError naming the field when a config value
+  /// is non-finite or out of range.
   explicit LatencyModel(LatencyConfig config);
 
-  /// Opt-in: precompute the pairwise propagation matrix for a fixed site
-  /// set (at most kMaxPrimedSites points; the matrix is n(n+1)/2 doubles).
-  /// Re-priming replaces the previous set; an empty span un-primes.
-  void prime(std::span<const GeoPoint> points);
-  bool primed() const { return !points_.empty(); }
-  std::size_t primed_count() const { return points_.size(); }
-
-  static constexpr std::size_t kMaxPrimedSites = 8192;
-
-  /// One-way propagation delay between two points (no jitter, no penalty).
+  /// One-way propagation delay between two points (no jitter, no penalty),
+  /// through the one-entry memo.
   sim::SimTime propagation(const GeoPoint& from, const GeoPoint& to) const;
 
-  /// Propagation between primed sites i and j (indices into the span given
-  /// to prime()). Precondition: primed() and both indices in range.
-  sim::SimTime propagation_between(std::size_t i, std::size_t j) const;
-
-  /// One-way delay sample including inter-ISP penalty and jitter.
-  /// `rng` may be shared; draws are only made when jitter/penalty are active.
+  /// One-way delay sample including inter-ISP penalty and jitter, through
+  /// the one-entry memo. `rng` may be shared; draws are only made when
+  /// jitter/penalty are active.
   sim::SimTime one_way(const GeoPoint& from, const GeoPoint& to, bool crosses_isp,
                        util::Rng& rng) const;
 
-  /// Index fast path of one_way(); same value and identical rng consumption.
-  sim::SimTime one_way_between(std::size_t i, std::size_t j, bool crosses_isp,
-                               util::Rng& rng) const;
+  /// propagation() without the memo: pure, safe to call concurrently.
+  sim::SimTime live_propagation(const GeoPoint& from, const GeoPoint& to) const;
 
-  /// one_way() minus the mutable one-entry memo: identical bits and rng
-  /// consumption, but safe to call concurrently from several threads (all
-  /// remaining state is written once by prime() and then read-only). The
-  /// sharded engine uses this when endpoints fall outside the primed set,
-  /// where one_way()'s memo would be a data race between lanes.
-  sim::SimTime one_way_uncached(const GeoPoint& from, const GeoPoint& to,
-                                bool crosses_isp, util::Rng& rng) const;
+  /// Adds the inter-ISP penalty and jitter to a propagation delay; the rng
+  /// draws are those of one_way(). Pure apart from `rng`.
+  sim::SimTime sample(sim::SimTime propagation_s, bool crosses_isp,
+                      util::Rng& rng) const;
 
   const LatencyConfig& config() const { return config_; }
 
  private:
-  sim::SimTime propagation_uncached(const GeoPoint& from, const GeoPoint& to) const;
-  sim::SimTime live_propagation(const GeoPoint& from, const GeoPoint& to) const;
-  sim::SimTime sample(sim::SimTime propagation_s, bool crosses_isp,
-                      util::Rng& rng) const;
-  sim::SimTime pair_at(std::size_t i, std::size_t j) const;
-  std::ptrdiff_t primed_index(const GeoPoint& p) const;
-
   LatencyConfig config_;
-  std::vector<GeoPoint> points_;
-  std::vector<double> pair_s_;  // lower-triangular matrix, pair_s_[i(i+1)/2+j]
-  // Open-addressed point -> index map (linear probing, power-of-two size,
-  // load factor <= 0.5); -1 marks an empty bucket.
-  std::vector<std::int32_t> table_;
-  std::size_t table_mask_ = 0;
-  // One-entry (from, to) -> propagation memo. The stored value is what the
-  // full lookup would return (identical bits), so hits cannot perturb
+  // One-entry (from, to) -> propagation memo. The stored value is what
+  // live_propagation() returns (identical bits), so hits cannot perturb
   // results; mutable because it is a pure cache behind a const query.
   mutable GeoPoint memo_from_{};
   mutable GeoPoint memo_to_{};
   mutable sim::SimTime memo_s_ = 0;
   mutable bool memo_valid_ = false;
+};
+
+/// Propagation per link, filled on first use. Keyed by the unordered pair
+/// of site ids (the engine's site id is node id + 1), so both directions
+/// share one entry. A fill computes live_propagation(higher id's point,
+/// lower id's point); propagation is bit-symmetric, so the value equals
+/// LatencyModel::propagation in either order. Open addressing with linear
+/// probing, power-of-two capacity, load factor <= 1/2.
+///
+/// Not thread-safe: the engine gives each execution lane its own cache,
+/// written only by events on that lane.
+class LinkCache {
+ public:
+  LinkCache();
+
+  /// Propagation between site `site_a` at point `a` and site `site_b` at
+  /// point `b`: a table read on a hit, one live_propagation() on a fill.
+  sim::SimTime propagation(const LatencyModel& model, std::uint32_t site_a,
+                           const GeoPoint& a, std::uint32_t site_b,
+                           const GeoPoint& b);
+
+  /// Links filled so far.
+  std::size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    sim::SimTime propagation_s;
+  };
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// Stores `e` in the first free slot of its probe sequence.
+  void place(Entry e);
+
+  std::vector<Entry> slots_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace cdnsim::net

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "core/scenario.hpp"
+#include "topology/node.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -14,6 +19,19 @@ namespace {
 const GeoPoint kAtlanta{33.75, -84.39};
 const GeoPoint kSeattle{47.61, -122.33};
 const GeoPoint kTokyo{35.68, 139.69};
+
+std::vector<GeoPoint> grid_sites() {
+  // A deliberately awkward mix: the three named cities, a provider-like
+  // origin, antipodal-ish points, duplicates, and a pole.
+  return {kAtlanta,          kSeattle,        kTokyo,
+          GeoPoint{0.0, 0.0}, GeoPoint{51.51, -0.13}, GeoPoint{-33.87, 151.21},
+          GeoPoint{90.0, 0.0}, kAtlanta /* duplicate site */,
+          GeoPoint{-0.0, 135.0}};
+}
+
+GeoPoint random_point(util::Rng& rng) {
+  return {rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+}
 
 TEST(LatencyTest, PropagationIncludesBaseDelay) {
   LatencyConfig cfg;
@@ -99,97 +117,47 @@ TEST(LatencyTest, CrossAtlanticLatencyIsPlausible) {
   EXPECT_LT(d, 0.1);
 }
 
-// --- primed propagation cache ----------------------------------------------
-
-std::vector<GeoPoint> grid_sites() {
-  // A deliberately awkward mix: the three named cities, a provider-like
-  // origin, antipodal-ish points, duplicates, and a pole.
-  return {kAtlanta,          kSeattle,        kTokyo,
-          GeoPoint{0.0, 0.0}, GeoPoint{51.51, -0.13}, GeoPoint{-33.87, 151.21},
-          GeoPoint{90.0, 0.0}, kAtlanta /* duplicate site */,
-          GeoPoint{-0.0, 135.0}};
-}
-
-TEST(LatencyTest, PrimedPropagationBitIdenticalToLive) {
-  std::vector<LatencyConfig> configs(3);
-  configs[1].jitter_fraction = 0.25;
-  configs[2].inter_isp_penalty_mean_s = 0.5;
-  configs[2].jitter_fraction = 0.1;
-  const std::vector<GeoPoint> sites = grid_sites();
-  for (const LatencyConfig& cfg : configs) {
-    LatencyModel live(cfg);
-    LatencyModel primed(cfg);
-    primed.prime(sites);
-    ASSERT_TRUE(primed.primed());
-    ASSERT_EQ(primed.primed_count(), sites.size());
-    for (const GeoPoint& a : sites) {
-      for (const GeoPoint& b : sites) {
-        // Bit-identical, not approximately equal: the cache must not move
-        // golden pins by even one ulp.
-        EXPECT_EQ(live.propagation(a, b), primed.propagation(a, b));
-      }
+TEST(LatencyTest, NonFiniteConfigThrowsNamingTheField) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](LatencyConfig cfg, const char* field) {
+    try {
+      LatencyModel model(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const cdnsim::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
     }
+  };
+  for (const double bad : {inf, -inf, nan}) {
+    LatencyConfig cfg;
+    cfg.signal_speed_km_per_s = bad;
+    expect_rejected(cfg, "signal_speed_km_per_s");
+    cfg = LatencyConfig{};
+    cfg.route_stretch = bad;
+    expect_rejected(cfg, "route_stretch");
+    cfg = LatencyConfig{};
+    cfg.base_delay_s = bad;
+    expect_rejected(cfg, "base_delay_s");
+    cfg = LatencyConfig{};
+    cfg.inter_isp_penalty_mean_s = bad;
+    expect_rejected(cfg, "inter_isp_penalty_mean_s");
+    cfg = LatencyConfig{};
+    cfg.jitter_fraction = bad;
+    expect_rejected(cfg, "jitter_fraction");
   }
-}
-
-TEST(LatencyTest, PrimedOneWayBitIdenticalAcrossJitterAndIsp) {
-  LatencyConfig cfg;
-  cfg.jitter_fraction = 0.3;
-  cfg.inter_isp_penalty_mean_s = 0.2;
-  LatencyModel live(cfg);
-  LatencyModel primed(cfg);
-  const std::vector<GeoPoint> sites = grid_sites();
-  primed.prime(sites);
-  // Identically seeded streams must consume draws in lockstep: the cache may
-  // not change how many random numbers a sample uses.
-  util::Rng rng_live(42);
-  util::Rng rng_primed(42);
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    for (std::size_t j = 0; j < sites.size(); ++j) {
-      for (const bool crosses_isp : {false, true}) {
-        EXPECT_EQ(live.one_way(sites[i], sites[j], crosses_isp, rng_live),
-                  primed.one_way(sites[i], sites[j], crosses_isp, rng_primed));
-      }
-    }
-  }
-}
-
-TEST(LatencyTest, OneWayBetweenMatchesGeoPointPath) {
-  LatencyConfig cfg;
-  cfg.jitter_fraction = 0.15;
-  cfg.inter_isp_penalty_mean_s = 0.1;
-  LatencyModel model(cfg);
-  const std::vector<GeoPoint> sites = grid_sites();
-  model.prime(sites);
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    for (std::size_t j = 0; j < sites.size(); ++j) {
-      EXPECT_EQ(model.propagation_between(i, j),
-                model.propagation(sites[i], sites[j]));
-      util::Rng by_index(7);
-      util::Rng by_point(7);
-      EXPECT_EQ(model.one_way_between(i, j, true, by_index),
-                model.one_way(sites[i], sites[j], true, by_point));
-    }
-  }
-}
-
-TEST(LatencyTest, UnprimedPointsFallBackToLiveHaversine) {
-  LatencyModel live{LatencyConfig{}};
-  LatencyModel primed{LatencyConfig{}};
-  primed.prime(std::vector<GeoPoint>{kAtlanta, kSeattle});
-  const GeoPoint stranger{12.97, 77.59};  // not in the primed set
-  EXPECT_EQ(primed.propagation(stranger, kTokyo),
-            live.propagation(stranger, kTokyo));
-  EXPECT_EQ(primed.propagation(kAtlanta, stranger),
-            live.propagation(kAtlanta, stranger));
-  // Mixed pairs (one primed, one not) also fall back.
-  EXPECT_EQ(primed.propagation(kAtlanta, kSeattle),
-            live.propagation(kAtlanta, kSeattle));
+  LatencyConfig negative_penalty;
+  negative_penalty.inter_isp_penalty_mean_s = -0.1;
+  EXPECT_THROW(LatencyModel{negative_penalty}, cdnsim::PreconditionError);
+  LatencyConfig infinite_delay;
+  infinite_delay.base_delay_s = inf;
+  EXPECT_THROW(LatencyModel{infinite_delay}, cdnsim::PreconditionError);
 }
 
 TEST(LatencyTest, PropagationIsBitSymmetric) {
-  // The cache stores one triangular half; symmetry must hold exactly for
-  // that to be an identity-preserving optimisation.
+  // LinkCache keys a link by its unordered site pair and serves both
+  // directions from one entry; symmetry must hold exactly for that to be an
+  // identity-preserving optimisation.
   const LatencyModel model(LatencyConfig{});
   const std::vector<GeoPoint> sites = grid_sites();
   for (const GeoPoint& a : sites) {
@@ -197,24 +165,159 @@ TEST(LatencyTest, PropagationIsBitSymmetric) {
       EXPECT_EQ(model.propagation(a, b), model.propagation(b, a));
     }
   }
+  util::Rng rng(2024);
+  for (int i = 0; i < 5000; ++i) {
+    const GeoPoint a = random_point(rng);
+    const GeoPoint b = random_point(rng);
+    ASSERT_EQ(model.live_propagation(a, b), model.live_propagation(b, a))
+        << "(" << a.lat_deg << ", " << a.lon_deg << ") <-> (" << b.lat_deg
+        << ", " << b.lon_deg << ")";
+  }
 }
 
-TEST(LatencyTest, RePrimingReplacesAndEmptyUnprimes) {
-  LatencyModel model{LatencyConfig{}};
-  model.prime(std::vector<GeoPoint>{kAtlanta, kSeattle, kTokyo});
-  EXPECT_EQ(model.primed_count(), 3u);
-  model.prime(std::vector<GeoPoint>{kAtlanta});
-  EXPECT_EQ(model.primed_count(), 1u);
-  model.prime(std::vector<GeoPoint>{});
-  EXPECT_FALSE(model.primed());
+// --- per-lane link cache ----------------------------------------------------
+
+std::vector<LatencyConfig> sampling_configs() {
+  std::vector<LatencyConfig> configs(4);
+  configs[1].jitter_fraction = 0.25;
+  configs[2].inter_isp_penalty_mean_s = 0.5;
+  configs[3].inter_isp_penalty_mean_s = 0.2;
+  configs[3].jitter_fraction = 0.3;
+  return configs;
 }
 
-TEST(LatencyTest, PropagationBetweenOutOfRangeThrows) {
-  LatencyModel model{LatencyConfig{}};
-  EXPECT_THROW(model.propagation_between(0, 0), cdnsim::PreconditionError);
-  model.prime(std::vector<GeoPoint>{kAtlanta, kSeattle});
-  EXPECT_THROW(model.propagation_between(0, 2), cdnsim::PreconditionError);
-  EXPECT_THROW(model.propagation_between(2, 0), cdnsim::PreconditionError);
+// Cached propagation for sites i and j of `sites` (site id = index).
+double cached(LinkCache& cache, const LatencyModel& model,
+              const std::vector<GeoPoint>& sites, std::size_t i, std::size_t j) {
+  return cache.propagation(model, static_cast<std::uint32_t>(i), sites[i],
+                           static_cast<std::uint32_t>(j), sites[j]);
+}
+
+TEST(LinkCacheTest, HitsAndFillsMatchPropagationInBothOrders) {
+  const std::vector<GeoPoint> sites = grid_sites();
+  for (const LatencyConfig& cfg : sampling_configs()) {
+    const LatencyModel model(cfg);
+    LinkCache cache;
+    // Pass 0 fills each link in (i, j) order and hits it again as (j, i);
+    // pass 1 is all hits. Bit-identical, not approximately equal: the cache
+    // must not move golden pins by even one ulp.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        for (std::size_t j = 0; j < sites.size(); ++j) {
+          EXPECT_EQ(cached(cache, model, sites, i, j),
+                    model.propagation(sites[i], sites[j]))
+              << "pass " << pass << " sites " << i << ", " << j;
+        }
+      }
+      EXPECT_EQ(cache.size(), sites.size() * (sites.size() + 1) / 2);
+    }
+  }
+}
+
+TEST(LinkCacheTest, SamplingConsumesRngLikeOneWay) {
+  const std::vector<GeoPoint> sites = grid_sites();
+  for (const LatencyConfig& cfg : sampling_configs()) {
+    const LatencyModel model(cfg);
+    const LatencyModel reference(cfg);
+    LinkCache cache;
+    // Identically seeded streams must consume draws in lockstep: the cache
+    // may not change how many random numbers a sample uses.
+    util::Rng rng_cache(42);
+    util::Rng rng_reference(42);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        for (std::size_t j = 0; j < sites.size(); ++j) {
+          for (const bool crosses_isp : {false, true}) {
+            EXPECT_EQ(model.sample(cached(cache, model, sites, i, j),
+                                   crosses_isp, rng_cache),
+                      reference.one_way(sites[i], sites[j], crosses_isp,
+                                        rng_reference));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(rng_cache.engine()(), rng_reference.engine()());
+  }
+}
+
+TEST(LinkCacheTest, DuplicateSitesKeepTheirOwnLinks) {
+  // Sites 0 and 7 share a point, as servers placed on the same world site
+  // do. Their links are distinct entries holding the same bits.
+  const std::vector<GeoPoint> sites = grid_sites();
+  ASSERT_EQ(sites[0], sites[7]);
+  const LatencyModel model(LatencyConfig{});
+  LinkCache cache;
+  EXPECT_EQ(cached(cache, model, sites, 0, 7), model.propagation(kAtlanta, kAtlanta));
+  EXPECT_EQ(cached(cache, model, sites, 2, 0), cached(cache, model, sites, 7, 2));
+  EXPECT_EQ(cached(cache, model, sites, 0, 2), model.propagation(kAtlanta, kTokyo));
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(LinkCacheTest, HoldsMoreThan8192DistinctSites) {
+  // A star from the provider plus a chain through every server, past the
+  // 8,192 sites fig20 --large outgrows: the table grows many times and
+  // every entry must survive the rehashes intact.
+  constexpr std::size_t kSites = 9000;
+  util::Rng rng(77);
+  std::vector<GeoPoint> sites;
+  sites.reserve(kSites);
+  for (std::size_t i = 0; i < kSites; ++i) sites.push_back(random_point(rng));
+  const LatencyModel model(LatencyConfig{});
+  LinkCache cache;
+  for (std::size_t s = 1; s < kSites; ++s) {
+    ASSERT_EQ(cached(cache, model, sites, 0, s), model.propagation(sites[0], sites[s]));
+    ASSERT_EQ(cached(cache, model, sites, s, s - 1),
+              model.propagation(sites[s], sites[s - 1]));
+  }
+  // Site 1's chain link is its star link: 2 * (kSites - 1) - 1 links.
+  EXPECT_EQ(cache.size(), 2 * (kSites - 1) - 1);
+  for (std::size_t s = 1; s < kSites; ++s) {
+    ASSERT_EQ(cached(cache, model, sites, s, 0), model.propagation(sites[s], sites[0]));
+    ASSERT_EQ(cached(cache, model, sites, s - 1, s),
+              model.propagation(sites[s - 1], sites[s]));
+  }
+  EXPECT_EQ(cache.size(), 2 * (kSites - 1) - 1);
+}
+
+TEST(LinkCacheTest, ScenarioPlacementsMatchPropagation) {
+  // Real placements put many servers on one world site, so this covers
+  // duplicate points at scale. Site id = node id + 1, as in the engine.
+  for (const std::size_t servers : {std::size_t{600}, std::size_t{2550}}) {
+    core::ScenarioConfig sc;
+    sc.server_count = servers;
+    const core::Scenario scenario = core::build_scenario(sc);
+    std::vector<GeoPoint> sites;
+    sites.push_back(scenario.nodes->location(topology::kProviderNode));
+    for (const topology::NodeId id : scenario.nodes->server_ids()) {
+      sites.push_back(scenario.nodes->location(id));
+    }
+    const LatencyModel model(LatencyConfig{});
+    LinkCache cache;
+    util::Rng rng(servers);
+    for (std::size_t k = 0; k < 4 * servers; ++k) {
+      const std::size_t i = k < servers ? 0 : rng.index(sites.size());
+      const std::size_t j = k < servers ? k + 1 : rng.index(sites.size());
+      ASSERT_EQ(cached(cache, model, sites, i, j),
+                model.propagation(sites[i], sites[j]))
+          << servers << " servers, sites " << i << ", " << j;
+      ASSERT_EQ(cached(cache, model, sites, j, i),
+                model.propagation(sites[j], sites[i]))
+          << servers << " servers, sites " << j << ", " << i;
+    }
+  }
+}
+
+TEST(LinkCacheTest, RejectsTheReservedSiteIdPair) {
+  // The all-ones key marks an empty slot, so (max, max) cannot be stored;
+  // every other pair, max included, can.
+  const LatencyModel model(LatencyConfig{});
+  LinkCache cache;
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_THROW(cache.propagation(model, kMax, kAtlanta, kMax, kAtlanta),
+               cdnsim::PreconditionError);
+  EXPECT_EQ(cache.propagation(model, kMax, kAtlanta, 0, kTokyo),
+            model.propagation(kAtlanta, kTokyo));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace
