@@ -80,12 +80,7 @@ VisitSchedule build_visit_schedule(std::size_t server_count,
         std::push_heap(heap.begin(), heap.end(), head_after);
       }
     }
-    const std::size_t n = ps.times.size();
-    ps.deadlines.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ps.deadlines.push_back(ps.times[i] + period_s);
-    }
-    out.total_visits += n;
+    out.total_visits += ps.times.size();
   }
   return out;
 }

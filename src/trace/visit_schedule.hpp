@@ -29,12 +29,10 @@ namespace cdnsim::trace {
 
 struct VisitSchedule {
   /// Parallel arrays: visit k on this server happens at times[k], by global
-  /// user index users[k], and the content it fetched expires (the user's
-  /// next poll is due) at deadlines[k] == times[k] + period.
+  /// user index users[k].
   struct PerServer {
     std::vector<sim::SimTime> times;
     std::vector<std::uint32_t> users;
-    std::vector<sim::SimTime> deadlines;
   };
   std::vector<PerServer> servers;
   std::size_t total_visits = 0;

@@ -87,7 +87,6 @@ void expect_matches_naive(std::size_t server_count,
   for (std::size_t s = 0; s < server_count; ++s) {
     const auto& ps = schedule.servers[s];
     ASSERT_EQ(ps.times.size(), ps.users.size());
-    ASSERT_EQ(ps.times.size(), ps.deadlines.size());
     ASSERT_EQ(ps.times.size(), reference[s].size())
         << "server " << s << " visit count diverges from the naive model";
     for (std::size_t k = 0; k < ps.times.size(); ++k) {
@@ -95,7 +94,6 @@ void expect_matches_naive(std::size_t server_count,
           << "server " << s << " visit " << k;
       EXPECT_EQ(ps.users[k], reference[s][k].user)
           << "server " << s << " visit " << k;
-      EXPECT_EQ(ps.deadlines[k], ps.times[k] + period_s);
     }
     total += ps.times.size();
   }
@@ -160,7 +158,6 @@ TEST(VisitBatchStressTest, VisitExactlyAtHorizonIsDropped) {
     ASSERT_EQ(ps.times.size(), 4u);
     EXPECT_EQ(ps.times.front(), 0.0);
     EXPECT_EQ(ps.times.back(), 7.5);
-    EXPECT_EQ(ps.deadlines.back(), 10.0);
   }
   expect_matches_naive(2, 1, 2.5, 0.0, 10.0, 5);
 }
@@ -194,14 +191,13 @@ TEST(VisitBatchStressTest, WalkingASchedulePerformsNoAllocations) {
       build_visit_schedule(8, 5, 3.0, 50.0, 400.0, rng);
   ASSERT_GT(schedule.total_visits, 0u);
   // The engine's catch-up loop is exactly this shape: advance a cursor over
-  // the SoA arrays, reading times/users/deadlines. It must stay off the
+  // the SoA arrays, reading times/users. It must stay off the
   // heap — the loop runs inside the hot event path.
   double sink = 0.0;
   const std::uint64_t before = testsupport::allocation_count();
   for (const auto& ps : schedule.servers) {
     for (std::size_t k = 0; k < ps.times.size(); ++k) {
-      sink += ps.times[k] + ps.deadlines[k] +
-              static_cast<double>(ps.users[k]);
+      sink += ps.times[k] + static_cast<double>(ps.users[k]);
     }
   }
   const std::uint64_t after = testsupport::allocation_count();
