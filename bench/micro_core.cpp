@@ -53,39 +53,49 @@ void BM_HaversineLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_HaversineLatency);
 
-// A primed site set shaped like the engine's: a provider plus ~1000 servers
-// at arbitrary coordinates. The queried pair sits mid-set so the hash path
-// (not a lucky first probe) is what gets measured.
-std::vector<net::GeoPoint> primed_sites() {
+// A site set shaped like the engine's: a provider (site 0) plus ~1000
+// servers at arbitrary coordinates.
+std::vector<net::GeoPoint> engine_sites() {
   util::Rng rng(11);
   std::vector<net::GeoPoint> sites;
-  sites.reserve(1000);
-  for (int i = 0; i < 1000; ++i) {
+  sites.reserve(1001);
+  for (int i = 0; i < 1001; ++i) {
     sites.push_back({rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)});
   }
   return sites;
 }
 
-void BM_HaversineLatencyPrimed(benchmark::State& state) {
-  net::LatencyModel model(net::LatencyConfig{});
-  const auto sites = primed_sites();
-  model.prime(sites);
-  const net::GeoPoint a = sites[17];
-  const net::GeoPoint b = sites[911];
+// What the engine pays per message once a link is warm: the queries rotate
+// over 1000 filled provider <-> server links in the server -> provider
+// direction, so every read probes the table rather than repeating one slot.
+void BM_LinkCacheHit(benchmark::State& state) {
+  const net::LatencyModel model(net::LatencyConfig{});
+  const auto sites = engine_sites();
+  net::LinkCache cache;
+  for (std::uint32_t s = 1; s < sites.size(); ++s) {
+    cache.propagation(model, 0, sites[0], s, sites[s]);
+  }
+  std::uint32_t s = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.propagation(a, b));
+    benchmark::DoNotOptimize(cache.propagation(model, s, sites[s], 0, sites[0]));
+    s = s + 1 < sites.size() ? s + 1 : 1;
   }
 }
-BENCHMARK(BM_HaversineLatencyPrimed);
+BENCHMARK(BM_LinkCacheHit);
 
-void BM_HaversineLatencyPrimedIndexed(benchmark::State& state) {
-  net::LatencyModel model(net::LatencyConfig{});
-  model.prime(primed_sites());
+// What a link-cache fill costs: one haversine per query, rotating over
+// distinct pairs so no memo can answer.
+void BM_HaversineLatencyLive(benchmark::State& state) {
+  const net::LatencyModel model(net::LatencyConfig{});
+  const auto sites = engine_sites();
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.propagation_between(17, 911));
+    benchmark::DoNotOptimize(
+        model.live_propagation(sites[i], sites[sites.size() - 1 - i]));
+    i = i + 1 < sites.size() ? i + 1 : 0;
   }
 }
-BENCHMARK(BM_HaversineLatencyPrimedIndexed);
+BENCHMARK(BM_HaversineLatencyLive);
 
 void BM_HilbertNumber(benchmark::State& state) {
   const net::GeoPoint p{48.86, 2.35};
