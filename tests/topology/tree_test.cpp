@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "net/sites.hpp"
 #include "util/error.hpp"
@@ -135,6 +137,28 @@ TEST(TreeTest, DoubleJoinThrows) {
   MulticastTree tree(reg, 2);
   tree.join(0);
   EXPECT_THROW(tree.join(0), cdnsim::PreconditionError);
+}
+
+TEST(TreeTest, JoinOutsideTheRegistryThrows) {
+  // The tree indexes nodes densely by id; an id the registry never had must
+  // be refused by name, not read past the end of those arrays.
+  const auto reg = make_world_registry(5, 9);
+  MulticastTree tree(reg, 2);
+  for (const NodeId bad : {NodeId{5}, NodeId{1000}, NodeId{-2},
+                           std::numeric_limits<NodeId>::max(),
+                           std::numeric_limits<NodeId>::min()}) {
+    try {
+      tree.join(bad);
+      ADD_FAILURE() << "join(" << bad << ") did not throw";
+    } catch (const cdnsim::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("outside the registry"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(tree.contains(bad));
+    EXPECT_TRUE(tree.children_of(bad).empty());
+  }
+  EXPECT_THROW(tree.remove(1000), cdnsim::PreconditionError);
+  EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST(TreeTest, RemoveUnknownThrows) {
