@@ -923,12 +923,13 @@ const net::GeoPoint& UpdateEngine::location_of(NodeId node) const {
   return nodes_->location(node);
 }
 
-sim::SimTime UpdateEngine::draw_latency(NodeId from, NodeId to) {
+UpdateEngine::Hop UpdateEngine::draw_latency(NodeId from, NodeId to) {
   // Site id = node id + 1 (the provider, kProviderNode = -1, is site 0).
-  const sim::SimTime propagation = lanes_[lane_index_of(from)].links.propagation(
+  const net::LinkCost link = lanes_[lane_index_of(from)].links.lookup(
       latency_, static_cast<std::uint32_t>(from + 1), location_of(from),
       static_cast<std::uint32_t>(to + 1), location_of(to));
-  return latency_.sample(propagation, nodes_->crosses_isp(from, to), rng_of(from));
+  return {link.km, latency_.sample(link.propagation_s, nodes_->crosses_isp(from, to),
+                                   rng_of(from))};
 }
 
 // Deliveries to an absent server are deferred until it returns
@@ -1028,10 +1029,10 @@ struct UpdateEngine::Sender {
 
   Transmission transmit(NodeId to, net::MessageKind kind, double size_kb) {
     const sim::SimTime depart = uplink.reserve(now, size_kb);
-    const sim::SimTime delay = e.draw_latency(from, to);
-    meter.record(kind, from, e.nodes_->distance_km(from, to), size_kb);
+    const Hop hop = e.draw_latency(from, to);
+    meter.record(kind, from, hop.km, size_kb);
     Transmission t;
-    t.arrival = depart + delay;
+    t.arrival = depart + hop.delay_s;
     if (injector == nullptr) return t;
     const fault::Injector::Decision d = injector->decide(from, to, now);
     // A dropped message has already paid the uplink and the meter: it was

@@ -21,9 +21,10 @@
 //
 // All transmissions pass through the sender's Uplink (serialization and
 // queueing — the scalability mechanism of Figs. 19-20) and the latency
-// model, and are accounted by the TrafficMeter. A link's propagation delay
-// is computed the first time a message uses it and kept in the sending
-// lane's net::LinkCache.
+// model, and are accounted by the TrafficMeter. A link's great-circle km and
+// propagation delay are computed the first time a message uses it and kept
+// in the sending lane's net::LinkCache, which serves both the delay and the
+// meter.
 //
 // Execution modes (DESIGN.md "Batched visits and intra-run sharding"):
 //  * batched visits (default for the pinned attachment): user arrivals are
@@ -408,8 +409,8 @@ class UpdateEngine {
     net::TrafficMeter meter;
     LaneCounters counters;
     obs::SpanBuffer spans;  // propagation-span applies (single-writer)
-    /// Propagation of every link this lane's senders have used (filled by
-    /// draw_latency on first use; single-writer).
+    /// Km and propagation of every link this lane's senders have used
+    /// (filled by draw_latency on first use; single-writer).
     net::LinkCache links;
   };
 
@@ -448,7 +449,14 @@ class UpdateEngine {
   void deliver_at(topology::NodeId from, topology::NodeId to,
                   net::MessageKind kind, sim::SimTime arrival,
                   sim::EventAction action);
-  sim::SimTime draw_latency(topology::NodeId from, topology::NodeId to);
+  /// One message's link: its great-circle km (what the meter records) and
+  /// a one-way delay sample, both from one lookup in the sender lane's
+  /// link cache.
+  struct Hop {
+    double km = 0;
+    sim::SimTime delay_s = 0;
+  };
+  Hop draw_latency(topology::NodeId from, topology::NodeId to);
   net::Uplink& uplink_of(topology::NodeId node);
   const net::GeoPoint& location_of(topology::NodeId node) const;
 

@@ -35,10 +35,14 @@ LatencyModel::LatencyModel(LatencyConfig config) : config_(config) {
                  "jitter_fraction must be finite and non-negative");
 }
 
+sim::SimTime LatencyModel::propagation_over_km(double km) const {
+  return config_.base_delay_s +
+         km * config_.route_stretch / config_.signal_speed_km_per_s;
+}
+
 sim::SimTime LatencyModel::live_propagation(const GeoPoint& from,
                                             const GeoPoint& to) const {
-  const double km = haversine_km(from, to) * config_.route_stretch;
-  return config_.base_delay_s + km / config_.signal_speed_km_per_s;
+  return propagation_over_km(haversine_km(from, to));
 }
 
 sim::SimTime LatencyModel::propagation(const GeoPoint& from,
@@ -71,11 +75,11 @@ sim::SimTime LatencyModel::one_way(const GeoPoint& from, const GeoPoint& to,
   return sample(propagation(from, to), crosses_isp, rng);
 }
 
-LinkCache::LinkCache() : slots_(64, Entry{kEmpty, 0}) {}
+LinkCache::LinkCache() : slots_(64, Entry{kEmpty, {}}) {}
 
-sim::SimTime LinkCache::propagation(const LatencyModel& model,
-                                    std::uint32_t site_a, const GeoPoint& a,
-                                    std::uint32_t site_b, const GeoPoint& b) {
+LinkCost LinkCache::lookup(const LatencyModel& model, std::uint32_t site_a,
+                           const GeoPoint& a, std::uint32_t site_b,
+                           const GeoPoint& b) {
   const bool a_high = site_a >= site_b;
   const std::uint64_t key =
       a_high ? (std::uint64_t{site_a} << 32) | site_b
@@ -86,23 +90,23 @@ sim::SimTime LinkCache::propagation(const LatencyModel& model,
     // Empty is tested first, so a key equal to kEmpty can never read as a
     // hit; the fill below rejects it.
     if (slot.key == kEmpty) break;
-    if (slot.key == key) return slot.propagation_s;
+    if (slot.key == key) return slot.cost;
   }
   CDNSIM_EXPECTS(key != kEmpty, "LinkCache: site id out of range");
   // Higher site id first whatever the direction, so the stored bits never
   // depend on which end of the link sent first.
-  const sim::SimTime s =
-      a_high ? model.live_propagation(a, b) : model.live_propagation(b, a);
+  const double km = a_high ? haversine_km(a, b) : haversine_km(b, a);
+  const LinkCost cost{km, model.propagation_over_km(km)};
   if (2 * (size_ + 1) > slots_.size()) {
-    std::vector<Entry> old(2 * slots_.size(), Entry{kEmpty, 0});
+    std::vector<Entry> old(2 * slots_.size(), Entry{kEmpty, {}});
     old.swap(slots_);
     for (const Entry& e : old) {
       if (e.key != kEmpty) place(e);
     }
   }
-  place({key, s});
+  place({key, cost});
   ++size_;
-  return s;
+  return cost;
 }
 
 void LinkCache::place(Entry e) {

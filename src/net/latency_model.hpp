@@ -8,21 +8,25 @@
 // and arrives later than intra-ISP traffic.
 //
 // Two ways to price a message:
-//  * live_propagation() + sample() are pure: no mutable state, so any number
-//    of threads may share one model through them. The engine prices every
-//    message this way, through a LinkCache per execution lane.
+//  * live_propagation(), propagation_over_km() and sample() are pure: no
+//    mutable state, so any number of threads may share one model through
+//    them. The engine prices every message this way, through a LinkCache
+//    per execution lane.
 //  * propagation()/one_way() add a one-entry (from, to) memo for callers
 //    that price several messages between the same endpoints in a row (the
 //    measurement study, micro-benchmarks). The memo makes these const
 //    queries non-reentrant: do not call them on one model from several
 //    threads at once.
+// Every propagation is propagation_over_km(haversine_km(from, to)): one
+// formula, whichever path a query takes.
 //
-// LinkCache memoizes propagation per link. A simulation prices millions of
-// messages, but they only travel on O(n) links (provider <-> server,
-// parent <-> child, the supernode overlay, churn repairs), so each link's
-// haversine is computed once, the first time a message uses it. Entries are
-// produced by live_propagation() itself, so caching can never change
-// simulation output (enforced by latency_test).
+// LinkCache memoizes each link's great-circle km and propagation. A
+// simulation prices millions of messages, but they only travel on O(n)
+// links (provider <-> server, parent <-> child, the supernode overlay,
+// churn repairs), so each link's haversine is computed once, the first time
+// a message uses it, and serves both the delay and the traffic meter's km.
+// Entries hold exactly what haversine_km() and live_propagation() return,
+// so caching can never change simulation output (enforced by latency_test).
 #pragma once
 
 #include <cstddef>
@@ -62,6 +66,10 @@ class LatencyModel {
   /// propagation() without the memo: pure, safe to call concurrently.
   sim::SimTime live_propagation(const GeoPoint& from, const GeoPoint& to) const;
 
+  /// Propagation over a link of great-circle length `km`: base delay plus
+  /// the stretched path at signal speed. Pure.
+  sim::SimTime propagation_over_km(double km) const;
+
   /// Adds the inter-ISP penalty and jitter to a propagation delay; the rng
   /// draws are those of one_way(). Pure apart from `rng`.
   sim::SimTime sample(sim::SimTime propagation_s, bool crosses_isp,
@@ -80,12 +88,19 @@ class LatencyModel {
   mutable bool memo_valid_ = false;
 };
 
-/// Propagation per link, filled on first use. Keyed by the unordered pair
-/// of site ids (the engine's site id is node id + 1), so both directions
-/// share one entry. A fill computes live_propagation(higher id's point,
-/// lower id's point); propagation is bit-symmetric, so the value equals
-/// LatencyModel::propagation in either order. Open addressing with linear
-/// probing, power-of-two capacity, load factor <= 1/2.
+/// One link as the engine prices it: great-circle length and propagation.
+struct LinkCost {
+  double km = 0;                  // haversine_km between the endpoints
+  sim::SimTime propagation_s = 0;  // LatencyModel::propagation_over_km(km)
+};
+
+/// Km and propagation per link, filled on first use. Keyed by the unordered
+/// pair of site ids (the engine's site id is node id + 1), so both
+/// directions share one entry. A fill computes haversine_km(higher id's
+/// point, lower id's point); haversine is bit-symmetric, so the entry
+/// equals haversine_km and LatencyModel::propagation in either order. Open
+/// addressing with linear probing, power-of-two capacity, load factor
+/// <= 1/2.
 ///
 /// Not thread-safe: the engine gives each execution lane its own cache,
 /// written only by events on that lane.
@@ -93,11 +108,10 @@ class LinkCache {
  public:
   LinkCache();
 
-  /// Propagation between site `site_a` at point `a` and site `site_b` at
-  /// point `b`: a table read on a hit, one live_propagation() on a fill.
-  sim::SimTime propagation(const LatencyModel& model, std::uint32_t site_a,
-                           const GeoPoint& a, std::uint32_t site_b,
-                           const GeoPoint& b);
+  /// The link between site `site_a` at point `a` and site `site_b` at point
+  /// `b`: a table read on a hit, one haversine on a fill.
+  LinkCost lookup(const LatencyModel& model, std::uint32_t site_a,
+                  const GeoPoint& a, std::uint32_t site_b, const GeoPoint& b);
 
   /// Links filled so far.
   std::size_t size() const { return size_; }
@@ -105,7 +119,7 @@ class LinkCache {
  private:
   struct Entry {
     std::uint64_t key;
-    sim::SimTime propagation_s;
+    LinkCost cost;
   };
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 

@@ -156,7 +156,8 @@ TEST(LatencyTest, NonFiniteConfigThrowsNamingTheField) {
 
 TEST(LatencyTest, PropagationIsBitSymmetric) {
   // LinkCache keys a link by its unordered site pair and serves both
-  // directions from one entry; symmetry must hold exactly for that to be an
+  // directions, and the traffic meter, from one entry; symmetry of the
+  // propagation and of the km must hold exactly for that to be an
   // identity-preserving optimisation.
   const LatencyModel model(LatencyConfig{});
   const std::vector<GeoPoint> sites = grid_sites();
@@ -170,6 +171,9 @@ TEST(LatencyTest, PropagationIsBitSymmetric) {
     const GeoPoint a = random_point(rng);
     const GeoPoint b = random_point(rng);
     ASSERT_EQ(model.live_propagation(a, b), model.live_propagation(b, a))
+        << "(" << a.lat_deg << ", " << a.lon_deg << ") <-> (" << b.lat_deg
+        << ", " << b.lon_deg << ")";
+    ASSERT_EQ(haversine_km(a, b), haversine_km(b, a))
         << "(" << a.lat_deg << ", " << a.lon_deg << ") <-> (" << b.lat_deg
         << ", " << b.lon_deg << ")";
   }
@@ -189,8 +193,10 @@ std::vector<LatencyConfig> sampling_configs() {
 // Cached propagation for sites i and j of `sites` (site id = index).
 double cached(LinkCache& cache, const LatencyModel& model,
               const std::vector<GeoPoint>& sites, std::size_t i, std::size_t j) {
-  return cache.propagation(model, static_cast<std::uint32_t>(i), sites[i],
-                           static_cast<std::uint32_t>(j), sites[j]);
+  return cache
+      .lookup(model, static_cast<std::uint32_t>(i), sites[i],
+              static_cast<std::uint32_t>(j), sites[j])
+      .propagation_s;
 }
 
 TEST(LinkCacheTest, HitsAndFillsMatchPropagationInBothOrders) {
@@ -307,15 +313,48 @@ TEST(LinkCacheTest, ScenarioPlacementsMatchPropagation) {
   }
 }
 
+TEST(LinkCacheTest, ScenarioKmMatchesRegistryDistance) {
+  // The engine meters every message with the km its link-cache lookup
+  // returns, so that km must be the registry's distance_km in the send
+  // direction, bit for bit, or the traffic totals would move.
+  for (const std::size_t servers : {std::size_t{600}, std::size_t{2550}}) {
+    core::ScenarioConfig sc;
+    sc.server_count = servers;
+    const core::Scenario scenario = core::build_scenario(sc);
+    const topology::NodeRegistry& nodes = *scenario.nodes;
+    const LatencyModel model(LatencyConfig{});
+    LinkCache cache;
+    const auto km = [&](topology::NodeId from, topology::NodeId to) {
+      return cache
+          .lookup(model, static_cast<std::uint32_t>(from + 1), nodes.location(from),
+                  static_cast<std::uint32_t>(to + 1), nodes.location(to))
+          .km;
+    };
+    util::Rng rng(servers + 1);
+    const auto node_count = static_cast<topology::NodeId>(servers);
+    for (std::size_t k = 0; k < 4 * servers; ++k) {
+      const auto from = k < servers ? topology::kProviderNode
+                                    : static_cast<topology::NodeId>(rng.index(servers + 1)) - 1;
+      const auto to = k < servers ? static_cast<topology::NodeId>(k)
+                                  : static_cast<topology::NodeId>(rng.index(servers + 1)) - 1;
+      ASSERT_LT(to, node_count);
+      ASSERT_EQ(km(from, to), nodes.distance_km(from, to))
+          << servers << " servers, " << from << " -> " << to;
+      ASSERT_EQ(km(to, from), nodes.distance_km(to, from))
+          << servers << " servers, " << to << " -> " << from;
+    }
+  }
+}
+
 TEST(LinkCacheTest, RejectsTheReservedSiteIdPair) {
   // The all-ones key marks an empty slot, so (max, max) cannot be stored;
   // every other pair, max included, can.
   const LatencyModel model(LatencyConfig{});
   LinkCache cache;
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  EXPECT_THROW(cache.propagation(model, kMax, kAtlanta, kMax, kAtlanta),
+  EXPECT_THROW(cache.lookup(model, kMax, kAtlanta, kMax, kAtlanta),
                cdnsim::PreconditionError);
-  EXPECT_EQ(cache.propagation(model, kMax, kAtlanta, 0, kTokyo),
+  EXPECT_EQ(cache.lookup(model, kMax, kAtlanta, 0, kTokyo).propagation_s,
             model.propagation(kAtlanta, kTokyo));
   EXPECT_EQ(cache.size(), 1u);
 }
