@@ -1,13 +1,18 @@
 #include "net/traffic_meter.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/error.hpp"
 
 namespace cdnsim::net {
 
 namespace {
+void add(TrafficTotals& into, const TrafficTotals& from) {
+  into.cost_km_kb += from.cost_km_kb;
+  into.load_km_update += from.load_km_update;
+  into.load_km_light += from.load_km_light;
+  into.update_messages += from.update_messages;
+  into.light_messages += from.light_messages;
+}
+
 void apply(TrafficTotals& t, MessageKind kind, double distance_km, double size_kb) {
   t.cost_km_kb += distance_km * size_kb;
   if (counts_as_update(kind)) {
@@ -24,48 +29,39 @@ void TrafficMeter::record(MessageKind kind, NodeId sender, double distance_km,
                           double size_kb) {
   CDNSIM_EXPECTS(distance_km >= 0, "distance must be non-negative");
   CDNSIM_EXPECTS(size_kb >= 0, "size must be non-negative");
+  CDNSIM_EXPECTS(sender >= kProviderNode, "sender id must be >= kProviderNode");
   ++kind_counts_[static_cast<std::size_t>(kind)];
   if (!is_maintenance(kind)) return;
   apply(totals_, kind, distance_km, size_kb);
-  apply(by_sender_[sender], kind, distance_km, size_kb);
+  const auto slot = static_cast<std::size_t>(std::int64_t{sender} + 1);
+  if (slot >= by_sender_.size()) by_sender_.resize(slot + 1);
+  apply(by_sender_[slot], kind, distance_km, size_kb);
 }
 
 TrafficTotals TrafficMeter::sender_totals(NodeId sender) const {
-  const auto it = by_sender_.find(sender);
-  return it == by_sender_.end() ? TrafficTotals{} : it->second;
+  if (sender < kProviderNode) return {};
+  const auto slot = static_cast<std::size_t>(std::int64_t{sender} + 1);
+  return slot < by_sender_.size() ? by_sender_[slot] : TrafficTotals{};
 }
 
 void TrafficMeter::merge_from(const TrafficMeter& other) {
-  auto add = [](TrafficTotals& into, const TrafficTotals& from) {
-    into.cost_km_kb += from.cost_km_kb;
-    into.load_km_update += from.load_km_update;
-    into.load_km_light += from.load_km_light;
-    into.update_messages += from.update_messages;
-    into.light_messages += from.light_messages;
-  };
   add(totals_, other.totals_);
-  for (const auto& [sender, totals] : other.by_sender_) {
-    add(by_sender_[sender], totals);
+  if (other.by_sender_.size() > by_sender_.size()) {
+    by_sender_.resize(other.by_sender_.size());
+  }
+  for (std::size_t s = 0; s < other.by_sender_.size(); ++s) {
+    add(by_sender_[s], other.by_sender_[s]);
   }
   for (std::size_t k = 0; k < kind_counts_.size(); ++k) {
     kind_counts_[k] += other.kind_counts_[k];
   }
 }
 
+// Slots of senders that never sent add exact zeros (every total is >= +0),
+// so walking all slots sums the same bits as walking only the senders.
 void TrafficMeter::rebuild_totals_from_senders() {
-  std::vector<NodeId> senders;
-  senders.reserve(by_sender_.size());
-  for (const auto& [sender, totals] : by_sender_) senders.push_back(sender);
-  std::sort(senders.begin(), senders.end());
   TrafficTotals rebuilt;
-  for (const NodeId sender : senders) {
-    const TrafficTotals& t = by_sender_[sender];
-    rebuilt.cost_km_kb += t.cost_km_kb;
-    rebuilt.load_km_update += t.load_km_update;
-    rebuilt.load_km_light += t.load_km_light;
-    rebuilt.update_messages += t.update_messages;
-    rebuilt.light_messages += t.light_messages;
-  }
+  for (const TrafficTotals& t : by_sender_) add(rebuilt, t);
   totals_ = rebuilt;
 }
 

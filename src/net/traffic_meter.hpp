@@ -11,7 +11,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/message.hpp"
 
@@ -35,6 +35,8 @@ class TrafficMeter {
  public:
   /// Record a consistency-maintenance message. End-user traffic (kUserRequest
   /// / kUserResponse) is ignored: the paper meters maintenance traffic only.
+  /// Throws cdnsim::PreconditionError for a negative distance or size, or a
+  /// sender id below kProviderNode.
   void record(MessageKind kind, NodeId sender, double distance_km, double size_kb);
 
   const TrafficTotals& totals() const { return totals_; }
@@ -65,7 +67,9 @@ class TrafficMeter {
 
  private:
   TrafficTotals totals_;
-  std::unordered_map<NodeId, TrafficTotals> by_sender_;
+  // Indexed by sender + 1 (the provider is slot 0), grown on first record:
+  // node ids are dense, so this stays as long as the largest sender id.
+  std::vector<TrafficTotals> by_sender_;
   std::array<std::uint64_t, kMessageKindCount> kind_counts_{};
 };
 

@@ -85,5 +85,41 @@ TEST(TrafficMeterTest, NegativeInputsThrow) {
                cdnsim::PreconditionError);
 }
 
+TEST(TrafficMeterTest, SenderBelowTheProviderThrows) {
+  // Per-sender totals are indexed by sender + 1; the provider (-1) is the
+  // lowest valid id.
+  TrafficMeter meter;
+  EXPECT_THROW(meter.record(MessageKind::kPushUpdate, -2, 1.0, 1.0),
+               cdnsim::PreconditionError);
+  EXPECT_THROW(meter.record(MessageKind::kUserRequest, -7, 1.0, 1.0),
+               cdnsim::PreconditionError);
+  EXPECT_EQ(meter.totals().total_messages(), 0u);
+  EXPECT_EQ(meter.sender_totals(-2).update_messages, 0u);
+  meter.record(MessageKind::kPushUpdate, kProviderNode, 1.0, 1.0);
+  EXPECT_EQ(meter.sender_totals(kProviderNode).update_messages, 1u);
+}
+
+TEST(TrafficMeterTest, MergeAndRebuildSumSendersInAscendingOrder) {
+  // Lanes meter disjoint senders; the merged meter's per-sender totals are
+  // the lane sums and its grand totals are rebuilt from them.
+  TrafficMeter a;
+  TrafficMeter b;
+  a.record(MessageKind::kPushUpdate, 3, 0.1, 1.0);
+  b.record(MessageKind::kPollRequest, kProviderNode, 0.2, 1.0);
+  b.record(MessageKind::kPushUpdate, 40, 0.3, 2.0);
+  TrafficMeter merged;
+  merged.merge_from(a);
+  merged.merge_from(b);
+  merged.rebuild_totals_from_senders();
+  EXPECT_EQ(merged.sender_totals(3).update_messages, 1u);
+  EXPECT_EQ(merged.sender_totals(40).cost_km_kb, 0.6);
+  EXPECT_EQ(merged.sender_totals(kProviderNode).light_messages, 1u);
+  EXPECT_EQ(merged.sender_totals(41).total_messages(), 0u);
+  EXPECT_EQ(merged.totals().load_km_update, 0.1 + 0.3);
+  EXPECT_EQ(merged.totals().load_km_light, 0.2);
+  EXPECT_EQ(merged.totals().cost_km_kb, (0.2 + 0.1) + 0.6);
+  EXPECT_EQ(merged.totals().total_messages(), 3u);
+}
+
 }  // namespace
 }  // namespace cdnsim::net
