@@ -161,6 +161,7 @@ TEST(EngineAccountingTest, PollLogHoldsRequestsFailedByFetchGiveUps) {
   cfg.reliable.enabled = true;
   cfg.reliable.max_retries = 0;
   cfg.record_poll_log = true;
+  cfg.record_user_logs = true;
   const auto r = run(*scenario.nodes, updates, cfg);
   auto metrics = r->engine->metrics();  // counter() is non-const (registers)
   ASSERT_GT(metrics.counter("reliable.give_ups").value, 0u)
@@ -179,6 +180,7 @@ TEST(EngineAccountingTest, PollLogHoldsRequestsFailedByCrashes) {
   cfg.fault.enabled = true;
   cfg.fault.loss_probability = 0.1;
   cfg.record_poll_log = true;
+  cfg.record_user_logs = true;
   const auto r = run(*scenario.nodes, updates, cfg);
   ASSERT_GT(r->engine->failures_injected(), 0u);
   expect_poll_log_matches_user_logs(*r->engine);

@@ -64,6 +64,7 @@ TEST(EngineInvalidationTest, UsersWaitingForFetchAreServedFreshContent) {
   const auto updates = regular_trace(30.0, 6);
   auto cfg = base_config(UpdateMethod::kInvalidation);
   cfg.user_poll_period_s = 5.0;
+  cfg.record_user_logs = true;
   const auto r = run(*scenario.nodes, updates, cfg);
   // Every observation after a version's update+transport must be >= it.
   const auto& logs = r->engine->user_logs();

@@ -53,6 +53,7 @@ TEST_P(MethodInfraProperty, InvariantsHold) {
   ec.infrastructure.kind = infra;
   ec.infrastructure.cluster_count = 9;
   ec.user_poll_period_s = 6.0;
+  ec.record_user_logs = true;  // invariant 3 reads the rows
 
   sim::Simulator simulator;
   consistency::UpdateEngine engine(simulator, *scenario.nodes, game, ec);
