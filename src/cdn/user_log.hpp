@@ -30,11 +30,10 @@ class UserLog {
   std::size_t size() const { return observations_.size(); }
   bool empty() const { return observations_.empty(); }
 
-  /// Pre-sizes the log (the batched engine knows each user's final row
-  /// count before materializing run-length records into rows).
-  void reserve(std::size_t n) { observations_.reserve(n); }
-  /// Moves the rows out, leaving the log empty — the merge step of the
-  /// run-length materialization re-adds them interleaved by request time.
+  /// Moves the rows out, leaving the log empty. A batched engine buffers a
+  /// user's directly served requests here during the run, then takes them
+  /// to merge with the walked visits by request time; the merge re-adds
+  /// the rows only when the engine records user logs.
   std::vector<UserObservation> take() {
     std::vector<UserObservation> out = std::move(observations_);
     observations_.clear();

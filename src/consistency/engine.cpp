@@ -177,11 +177,11 @@ struct UpdateEngine::ServerState {
     return next_visit_time < t;
   }
 
-  // Run-length user-log records from the bulk visit walk: schedule entries
-  // [begin, end) all share one (version, answered) outcome. Recording one
-  // run per walk instead of one row per visit keeps the hot walk free of
-  // scattered per-user appends; materialize_user_logs() expands them into
-  // UserObservation rows once, after the run.
+  // Run-length observation records from the bulk visit walk: schedule
+  // entries [begin, end) all share one (version, answered) outcome.
+  // Recording one run per walk instead of one fold per visit keeps the hot
+  // walk free of scattered per-user writes; materialize_user_logs() folds
+  // them into the user tallies once, after the run.
   struct VisitLogRun {
     std::uint32_t begin;
     std::uint32_t end;
@@ -738,18 +738,20 @@ void UpdateEngine::fold_lane_stats() {
   if (sharded_) meter_.rebuild_totals_from_senders();
 }
 
-// Expands the bulk walk's run-length records into log rows in one pass.
-//  * User rows merge by request time with the rows a user already holds
-//    (pump visits, waiting users served or abandoned). Blocked servers run
-//    in pump mode, so a direct row and a walked row never share a request
-//    time: per-user row order stays exactly the per-visit path's.
+// Folds the bulk walk's run-length records into the user tallies in one
+// pass, writing the asked-for log rows on the way.
+//  * Each user's walked visits merge by request time with the observations
+//    buffered in that user's log during the run (pump visits, waiting users
+//    served or abandoned). Blocked servers run in pump mode, so a buffered
+//    and a walked observation never share a request time: the tally folds,
+//    and the user rows land, in exactly the per-visit path's order.
 //  * Poll rows join the rows written during the run, and a stable sort by
 //    (time, server) restores the per-visit path's log: it wrote each row
 //    when it happened, and its simultaneous visits fired in user-id order.
 void UpdateEngine::materialize_user_logs() {
-  const bool user_rows = visit_plan_ && config_.record_user_logs;
-  const bool poll_rows = visit_plan_ && config_.record_poll_log;
-  if (!user_rows && !poll_rows) return;
+  if (!visit_plan_) return;
+  const bool user_rows = config_.record_user_logs;
+  const bool poll_rows = config_.record_poll_log;
   std::vector<trace::Observation> polls;
   if (poll_rows) {
     std::size_t count = poll_log_.size();
@@ -762,34 +764,22 @@ void UpdateEngine::materialize_user_logs() {
   }
   const std::size_t ups = static_cast<std::size_t>(config_.users_per_server);
   // Scratch reused across servers: only one server's users are live at a
-  // time, so the merge's write working set stays ups-sized and cache-hot.
-  std::vector<std::vector<cdn::UserObservation>> points(ups);
+  // time, so the merge's working set stays ups-sized and cache-hot.
+  std::vector<std::vector<cdn::UserObservation>> buffered(ups);
   std::vector<std::size_t> cursor(ups, 0);
-  std::vector<std::uint32_t> counts(ups, 0);
-  std::vector<cdn::UserLog*> logs(ups, nullptr);
   for (auto& sp : servers_) {
     ServerState& s = *sp;
-    if (s.visit_log_runs.empty()) continue;
     const trace::VisitSchedule::PerServer& plan =
         visit_plan_->servers[static_cast<std::size_t>(s.id)];
-    const std::uint32_t base =
-        static_cast<std::uint32_t>(static_cast<std::size_t>(s.id) * ups);
-    std::fill(counts.begin(), counts.end(), 0u);
-    if (user_rows) {
-      for (const auto& r : s.visit_log_runs) {
-        for (std::uint32_t j = r.begin; j < r.end; ++j) {
-          ++counts[plan.users[j] - base];
-        }
-      }
-    }
-    // Move each user's direct rows out, to merge them back in below.
+    const std::size_t base = static_cast<std::size_t>(s.id) * ups;
     for (std::size_t k = 0; k < ups; ++k) {
-      logs[k] = &user_logs_->log(static_cast<cdn::UserId>(base + k));
-      if (counts[k] == 0) continue;  // direct rows (if any) stay as-is
-      points[k] = logs[k]->take();
+      buffered[k] = user_logs_->log(static_cast<cdn::UserId>(base + k)).take();
       cursor[k] = 0;
-      logs[k]->reserve(points[k].size() + counts[k]);
     }
+    const auto emit = [&](std::size_t k, const cdn::UserObservation& o) {
+      if (o.answered) tally_answer(tallies_[base + k], o.version, o.serve_time);
+      if (user_rows) user_logs_->log(static_cast<cdn::UserId>(base + k)).add(o);
+    };
     cdn::UserObservation obs;
     obs.server = s.id;
     for (const auto& r : s.visit_log_runs) {
@@ -798,22 +788,18 @@ void UpdateEngine::materialize_user_logs() {
       for (std::uint32_t j = r.begin; j < r.end; ++j) {
         const sim::SimTime t = plan.times[j];
         if (poll_rows) polls.push_back({s.id, t, r.version, r.answered});
-        if (!user_rows) continue;
         const std::size_t k = plan.users[j] - base;
-        std::vector<cdn::UserObservation>& pts = points[k];
+        const std::vector<cdn::UserObservation>& pts = buffered[k];
         std::size_t& pi = cursor[k];
-        while (pi < pts.size() && pts[pi].request_time < t) {
-          logs[k]->add(pts[pi++]);
-        }
+        while (pi < pts.size() && pts[pi].request_time < t) emit(k, pts[pi++]);
         obs.request_time = obs.serve_time = t;
-        logs[k]->add(obs);
+        emit(k, obs);
       }
     }
     for (std::size_t k = 0; k < ups; ++k) {
-      for (std::size_t pi = cursor[k]; pi < points[k].size(); ++pi) {
-        logs[k]->add(points[k][pi]);
+      for (std::size_t pi = cursor[k]; pi < buffered[k].size(); ++pi) {
+        emit(k, buffered[k][pi]);
       }
-      points[k].clear();
     }
     s.visit_log_runs.clear();
     s.visit_log_runs.shrink_to_fit();
@@ -2012,6 +1998,7 @@ void UpdateEngine::start_users() {
   const std::size_t total_users =
       dns_mode ? config_.dns_user_count : config_.users_per_server * servers_.size();
   user_logs_ = std::make_unique<cdn::UserPopulationLog>(total_users);
+  tallies_.assign(total_users, UserTally{});
   users_.reserve(total_users);
 
   std::vector<net::Placement> dns_placements;
@@ -2109,9 +2096,30 @@ void UpdateEngine::record_observation(const ServerState& s, const UserState& u,
       .version = answered ? version_of(s.id) : 0,
       .redirected = redirected,
       .answered = answered};
-  if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
+  if (visit_batching_) {
+    user_logs_->log(u.id).add(obs);  // until materialize_user_logs()
+  } else {
+    if (answered) {
+      tally_answer(tallies_[static_cast<std::size_t>(u.id)], obs.version,
+                   obs.serve_time);
+    }
+    if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
+  }
   if (config_.record_poll_log) {
     poll_log_.add({obs.server, obs.serve_time, obs.version, obs.answered});
+  }
+}
+
+void UpdateEngine::tally_answer(UserTally& t, Version version,
+                                sim::SimTime serve_time) const {
+  ++t.answered;
+  if (version < t.max_seen) ++t.stale;
+  t.max_seen = std::max(t.max_seen, version);
+  // First serve showing each version the user had not seen yet.
+  const Version last = std::min(version, updates_->update_count());
+  for (; t.next_needed <= last; ++t.next_needed) {
+    t.first_seen_sum += serve_time - updates_->update_time(t.next_needed);
+    ++t.first_seen_count;
   }
 }
 
@@ -2154,7 +2162,6 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
   CDNSIM_EXPECTS(!visit_pump_needed(s),
                  "bulk visit walk while the server is blocked");
   const bool rate_adaptive = s.method == UpdateMethod::kRateAdaptive;
-  const bool record_logs = config_.record_user_logs || config_.record_poll_log;
   LaneCounters& c = counters_of(s.id);
   // The server's user-visible state cannot change inside one walk — every
   // caller flushes the backlog *before* mutating — so the branch structure
@@ -2163,13 +2170,13 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
   // below never touches UserState at all.
   if (!s.departed && s.absence == nullptr) {
     // Fast path: every pending visit is answered with the same version, so
-    // the whole window collapses to a range scan plus (when logging) one
-    // run-length record — no per-visit work at all.
+    // the whole window collapses to a range scan plus one run-length
+    // record — no per-visit work at all.
     const std::size_t begin = i;
     // Linear, not lower_bound: the cursor advances a handful of entries per
     // call, so a sequential scan beats a binary search over the whole tail.
     while (i < n && plan.times[i] < upto) ++i;
-    if (record_logs && i > begin) {
+    if (i > begin) {
       s.visit_log_runs.push_back({static_cast<std::uint32_t>(begin),
                                   static_cast<std::uint32_t>(i),
                                   version_of(s.id), true});
@@ -2187,7 +2194,7 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
     std::size_t run_begin = i;
     bool run_answered = false;
     const auto flush_run = [&](std::size_t end) {
-      if (!record_logs || end == run_begin) return;
+      if (end == run_begin) return;
       s.visit_log_runs.push_back({static_cast<std::uint32_t>(run_begin),
                                   static_cast<std::uint32_t>(end),
                                   run_answered ? version : 0, run_answered});
@@ -2517,23 +2524,11 @@ std::vector<double> UpdateEngine::server_avg_inconsistency() const {
 
 std::vector<double> UpdateEngine::user_avg_inconsistency() const {
   std::vector<double> out;
-  out.reserve(users_.size());
-  const Version final_version = updates_->update_count();
-  for (const auto& u : users_) {
-    const auto& observations = user_logs_->log(u->id).observations();
-    // First serve time at which the user saw version >= v.
-    double sum = 0;
-    std::size_t count = 0;
-    Version next_needed = 1;
-    for (const auto& obs : observations) {
-      if (!obs.answered) continue;
-      while (next_needed <= obs.version && next_needed <= final_version) {
-        sum += obs.serve_time - updates_->update_time(next_needed);
-        ++next_needed;
-        ++count;
-      }
-    }
-    out.push_back(count == 0 ? 0.0 : sum / static_cast<double>(count));
+  out.reserve(tallies_.size());
+  for (const UserTally& t : tallies_) {
+    out.push_back(t.first_seen_count == 0
+                      ? 0.0
+                      : t.first_seen_sum / static_cast<double>(t.first_seen_count));
   }
   return out;
 }
@@ -2544,6 +2539,9 @@ std::vector<double> UpdateEngine::per_server_max_user_inconsistency() const {
 
 std::vector<double> UpdateEngine::per_server_max_user_inconsistency(
     const std::vector<double>& per_user) const {
+  CDNSIM_EXPECTS(config_.user_attachment != UserAttachment::kDnsCache,
+                 "per-server user maxima need server-attached users; "
+                 "kDnsCache users belong to no server");
   std::vector<double> out(servers_.size(), 0.0);
   for (std::size_t i = 0; i < per_user.size(); ++i) {
     const std::size_t server = i / config_.users_per_server;
@@ -2555,14 +2553,9 @@ std::vector<double> UpdateEngine::per_server_max_user_inconsistency(
 double UpdateEngine::user_observed_inconsistency_fraction() const {
   std::uint64_t total = 0;
   std::uint64_t stale = 0;
-  for (const auto& u : users_) {
-    Version max_seen = 0;
-    for (const auto& obs : user_logs_->log(u->id).observations()) {
-      if (!obs.answered) continue;
-      ++total;
-      if (obs.version < max_seen) ++stale;
-      max_seen = std::max(max_seen, obs.version);
-    }
+  for (const UserTally& t : tallies_) {
+    total += t.answered;
+    stale += t.stale;
   }
   return total == 0 ? 0.0 : static_cast<double>(stale) / static_cast<double>(total);
 }

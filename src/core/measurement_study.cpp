@@ -31,7 +31,6 @@ consistency::EngineConfig day_engine_config(const MeasurementConfig& cfg,
   ec.provider_uplink_kbps = cfg.provider_uplink_kbps;
   ec.server_uplink_kbps = cfg.server_uplink_kbps;
   ec.record_poll_log = true;
-  ec.record_user_logs = false;
   ec.record_trace_events = cfg.record_trace_events;
   ec.seed = day_seed;
   return ec;

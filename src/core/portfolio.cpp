@@ -8,12 +8,16 @@ namespace cdnsim::core {
 namespace {
 
 SimulationResult collect(const consistency::UpdateEngine& engine,
+                         const consistency::EngineConfig& config,
                          const sim::Simulator& simulator) {
   SimulationResult result;
   result.server_inconsistency_s = engine.server_avg_inconsistency();
   result.user_inconsistency_s = engine.user_avg_inconsistency();
-  result.per_server_max_user_inconsistency_s =
-      engine.per_server_max_user_inconsistency(result.user_inconsistency_s);
+  // DNS-attached users belong to no server: no per-server maximum.
+  if (config.user_attachment != consistency::UserAttachment::kDnsCache) {
+    result.per_server_max_user_inconsistency_s =
+        engine.per_server_max_user_inconsistency(result.user_inconsistency_s);
+  }
   result.avg_server_inconsistency_s = util::mean(result.server_inconsistency_s);
   result.avg_user_inconsistency_s = util::mean(result.user_inconsistency_s);
   result.traffic = engine.meter().totals();
@@ -51,7 +55,7 @@ PortfolioResult run_portfolio(const topology::NodeRegistry& nodes,
   out.provider_uplink_kb = shared_uplink.total_kb_sent();
   out.events_processed = simulator.events_processed();
   for (std::size_t i = 0; i < contents.size(); ++i) {
-    out.contents.push_back({contents[i].name, collect(*engines[i], simulator)});
+    out.contents.push_back({contents[i].name, collect(*engines[i], contents[i].engine, simulator)});
   }
   return out;
 }

@@ -30,8 +30,11 @@ SimulationResult run_simulation(const topology::NodeRegistry& nodes,
   SimulationResult result;
   result.server_inconsistency_s = engine.server_avg_inconsistency();
   result.user_inconsistency_s = engine.user_avg_inconsistency();
-  result.per_server_max_user_inconsistency_s =
-      engine.per_server_max_user_inconsistency(result.user_inconsistency_s);
+  // DNS-attached users belong to no server: no per-server maximum.
+  if (config.user_attachment != consistency::UserAttachment::kDnsCache) {
+    result.per_server_max_user_inconsistency_s =
+        engine.per_server_max_user_inconsistency(result.user_inconsistency_s);
+  }
   result.avg_server_inconsistency_s = util::mean(result.server_inconsistency_s);
   result.avg_user_inconsistency_s = util::mean(result.user_inconsistency_s);
   result.traffic = engine.meter().totals();

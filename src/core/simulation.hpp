@@ -28,7 +28,8 @@ struct SimulationResult {
   std::vector<double> server_inconsistency_s;
   // Per-user average first-seen inconsistency.
   std::vector<double> user_inconsistency_s;
-  // Largest per-user average on each server (pinned users).
+  // Largest per-user average on each server; empty for kDnsCache users,
+  // who belong to no server.
   std::vector<double> per_server_max_user_inconsistency_s;
 
   double avg_server_inconsistency_s = 0;

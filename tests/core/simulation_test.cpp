@@ -29,6 +29,21 @@ TEST(SimulationTest, ReturnsPerServerAndPerUserSeries) {
   EXPECT_GT(r.simulated_time_s, 300.0);
 }
 
+TEST(SimulationTest, DnsUsersHaveNoPerServerMaximum) {
+  ScenarioConfig sc;
+  sc.server_count = 10;
+  const auto scenario = build_scenario(sc);
+  consistency::EngineConfig ec;
+  ec.method.method = consistency::UpdateMethod::kTtl;
+  ec.user_attachment = consistency::UserAttachment::kDnsCache;
+  ec.users_per_server = 2;
+  ec.dns_user_count = 60;  // more than users_per_server x servers
+  const auto r = run_simulation(*scenario.nodes, small_trace(), ec);
+  EXPECT_EQ(r.user_inconsistency_s.size(), 60u);
+  EXPECT_TRUE(r.per_server_max_user_inconsistency_s.empty());
+  EXPECT_GT(r.avg_user_inconsistency_s, 0.0);
+}
+
 TEST(SimulationTest, TrafficSplitsProviderShare) {
   ScenarioConfig sc;
   sc.server_count = 20;
