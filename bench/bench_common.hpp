@@ -9,6 +9,8 @@
 // `for b in build/bench/*; do $b; done` doubles as a reproduction report.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <charconv>
 #include <chrono>
 #include <cstdint>
@@ -217,6 +219,13 @@ inline void print_cdf(const std::string& name, const util::Cdf& cdf,
   table.print(std::cout);
 }
 
+/// Peak resident set size of this process so far, in MB.
+inline double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KB
+}
+
 inline std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -229,10 +238,14 @@ inline std::string json_escape(const std::string& s) {
 
 /// Appends one machine-readable benchmark record to `path` (JSON lines —
 /// one object per line, so successive runs accumulate a history):
-///   {"bench": "...", "config": "...", "wall_s": ..., "items_per_s": ...}
+///   {"bench": "...", "config": "...", "wall_s": ..., "items_per_s": ...,
+///    "peak_rss_mb": ...}
 /// `wall_s` is the wall-clock seconds per iteration (or per whole run for
 /// aggregate records); `items_per_s` is 0 when the bench reports no item
-/// throughput. Used to track before/after numbers for performance PRs.
+/// throughput; `peak_rss_mb` is the process's peak resident set so far
+/// (getrusage), so in a process that runs several benches it covers every
+/// bench run before this record too. Used to track before/after numbers
+/// for performance PRs.
 inline void append_bench_record(const std::string& path,
                                 const std::string& bench,
                                 const std::string& config, double wall_s,
@@ -246,7 +259,8 @@ inline void append_bench_record(const std::string& path,
   line.precision(12);
   line << "{\"bench\": \"" << json_escape(bench) << "\", \"config\": \""
        << json_escape(config) << "\", \"wall_s\": " << wall_s
-       << ", \"items_per_s\": " << items_per_s << "}";
+       << ", \"items_per_s\": " << items_per_s
+       << ", \"peak_rss_mb\": " << peak_rss_mb() << "}";
   out << line.str() << '\n';
 }
 

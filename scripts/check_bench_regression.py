@@ -6,7 +6,9 @@ Usage:
                               [--tolerance 0.5] [--tolerance-for BENCH=F ...]
 
 Both files are bench-record JSON lines as written by
-bench::append_bench_record: {"bench", "config", "wall_s", "items_per_s"}.
+bench::append_bench_record: {"bench", "config", "wall_s", "items_per_s",
+"peak_rss_mb"}. Only wall_s is gated; peak_rss_mb (absent from older records)
+is informational.
 Records accumulate history, so for every bench name the *last* record wins
 on both sides (the committed baseline keeps pre-PR/post-PR pairs around for
 archaeology; only the newest number is the contract).
